@@ -10,7 +10,7 @@ GO ?= go
 # of quietly taxing every CI run.
 LINT_BUDGET ?= 60s
 
-.PHONY: check build vet lint cyclolint lint-sarif lint-stats lint-fix-clean test race chaos chaos-fuzz bench-metrics bench-ring bench-smoke bench-trace smoke-trace smoke-health
+.PHONY: check build vet lint cyclolint lint-sarif lint-stats lint-fix-clean test race chaos chaos-fuzz bench-metrics bench-ring bench-smoke perfbench-test bench-trace smoke-trace smoke-health
 
 check: build vet lint race chaos
 
@@ -145,3 +145,17 @@ bench-smoke:
 	$(GO) test -run NONE -bench 'BenchmarkEncode$$|BenchmarkViewBind' -benchtime 1000x ./internal/relation/ >> /tmp/bench_smoke.$$$$.txt && \
 	$(GO) run ./cmd/benchring -guard BenchmarkForwardStage,BenchmarkEncode,BenchmarkViewBind < /tmp/bench_smoke.$$$$.txt; \
 	status=$$?; rm -f /tmp/bench_smoke.$$$$.txt; exit $$status
+
+# perfbench-test runs the end-to-end benchmark's self-test: every workload
+# at smoke size, each op checked against the benchmark's own oracle, so a
+# kernel change that breaks a workload's result fails here. perfbench is
+# a module of its own, which the root `go test ./...` never reaches. The
+# Go env is perfbench/run.sh's: offline, caches under .bench_build/.
+BENCH_BUILD = $(CURDIR)/.bench_build
+perfbench-test:
+	mkdir -p $(BENCH_BUILD)/tmp
+	cd perfbench && \
+	GOCACHE=$(BENCH_BUILD)/gocache GOPATH=$(BENCH_BUILD)/gopath \
+	GOMODCACHE=$(BENCH_BUILD)/gopath/pkg/mod GOTMPDIR=$(BENCH_BUILD)/tmp \
+	GOENV=off GOTOOLCHAIN=local GOFLAGS=-mod=readonly GOWORK=off GOPROXY=off GOSUMDB=off \
+	$(GO) test ./...

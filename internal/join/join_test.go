@@ -2,6 +2,7 @@ package join
 
 import (
 	"encoding/binary"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -189,4 +190,100 @@ func TestTee(t *testing.T) {
 
 func TestDiscard(t *testing.T) {
 	Discard{}.Emit(1, 2, []byte{1}, []byte{2}) // must not panic
+}
+
+// emitOnly hides a collector's run path.
+type emitOnly struct{ Collector }
+
+// TestEmitRunEqualsEmitLoop: for every collector, delivering runs through
+// EmitRun leaves the same result as one Emit per match.
+func TestEmitRunEqualsEmitLoop(t *testing.T) {
+	const rW, sW = 2, 3
+	type run struct {
+		rKey  uint64
+		rPay  []byte
+		sKeys []uint64
+		sPay  []byte
+	}
+	runs := []run{
+		{5, []byte{1, 2}, []uint64{3, 4, 4, 7}, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}},
+		{6, []byte{3, 4}, nil, nil},
+		{9, []byte{5, 6}, []uint64{9}, []byte{13, 14, 15}},
+	}
+	relationOf := func(m *Materializer) any {
+		r := m.Result()
+		return [2]any{append([]uint64(nil), r.Keys()...), append([]byte(nil), r.PayloadColumn()...)}
+	}
+	cases := []struct {
+		name   string
+		new    func() Collector
+		result func(Collector) any
+	}{
+		{"Counter", func() Collector { return &Counter{} }, func(c Collector) any { return c.(*Counter).Count() }},
+		{"Discard", func() Collector { return Discard{} }, func(Collector) any { return nil }},
+		{"Materializer", func() Collector { return NewMaterializer("out", rW, sW) },
+			func(c Collector) any { return relationOf(c.(*Materializer)) }},
+		{"RekeyedMaterializer", func() Collector { return NewRekeyedMaterializer("out", rW, sW) },
+			func(c Collector) any { return relationOf(c.(*Materializer)) }},
+		{"PairSet", func() Collector { return NewPairSet() }, func(c Collector) any { return c.(*PairSet).Pairs() }},
+		{"Tee", func() Collector {
+			return Tee{&Counter{}, emitOnly{NewPairSet()}, NewMaterializer("out", rW, sW)}
+		}, func(c Collector) any {
+			tee := c.(Tee)
+			return [3]any{tee[0].(*Counter).Count(), tee[1].(emitOnly).Collector.(*PairSet).Pairs(), relationOf(tee[2].(*Materializer))}
+		}},
+		{"emit-only adapter", func() Collector { return emitOnly{NewMaterializer("out", rW, sW)} },
+			func(c Collector) any { return relationOf(c.(emitOnly).Collector.(*Materializer)) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			batched, looped := tc.new(), tc.new()
+			rc := Runs(batched)
+			for _, r := range runs {
+				rc.EmitRun(r.rKey, r.rPay, r.sKeys, r.sPay)
+				for i, sKey := range r.sKeys {
+					looped.Emit(r.rKey, sKey, r.rPay, r.sPay[i*sW:(i+1)*sW])
+				}
+			}
+			if got, want := tc.result(batched), tc.result(looped); !reflect.DeepEqual(got, want) {
+				t.Errorf("EmitRun result %v, Emit loop result %v", got, want)
+			}
+		})
+	}
+}
+
+func TestRunsResolvesRunPath(t *testing.T) {
+	c := &Counter{}
+	if Runs(c) != RunCollector(c) {
+		t.Error("Runs should return a run collector itself")
+	}
+	if _, ok := Runs(emitOnly{c}).(emitLoop); !ok {
+		t.Error("Runs should adapt an Emit-only collector")
+	}
+}
+
+// TestCounterEmitRunConcurrent races EmitRun against Emit on one Counter;
+// run it under -race.
+func TestCounterEmitRunConcurrent(t *testing.T) {
+	var c Counter
+	const workers, per = 8, 1000
+	run := []uint64{1, 2, 3}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				if w%2 == 0 {
+					c.EmitRun(1, nil, run, nil)
+				} else {
+					c.Emit(1, 1, nil, nil)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if want := int64(workers / 2 * per * (len(run) + 1)); c.Count() != want {
+		t.Errorf("Count = %d, want %d", c.Count(), want)
+	}
 }

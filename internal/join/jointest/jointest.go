@@ -40,9 +40,14 @@ func RandomRelation(rng *rand.Rand, name string, n, domain, payloadWidth int) *r
 	return rel
 }
 
+// EmitOnly hides a collector's run path (join.RunCollector), so a join
+// phase that batches matches has to fall back to one Emit per match.
+type EmitOnly struct{ join.Collector }
+
 // CheckAgainstOracle runs alg end-to-end (SetupRotating + SetupStationary +
 // Join) on (r, s, p) and fails the test if the pair multiset differs from
-// the oracle's.
+// the oracle's. The join phase runs twice on the prepared fragment: once
+// into a run collector and once into an Emit-only one.
 func CheckAgainstOracle(t *testing.T, alg join.Algorithm, r, s *relation.Relation, p join.Predicate, opts join.Options) {
 	t.Helper()
 	want := join.NewPairSet()
@@ -56,12 +61,18 @@ func CheckAgainstOracle(t *testing.T, alg join.Algorithm, r, s *relation.Relatio
 	if err != nil {
 		t.Fatalf("%s: SetupRotating: %v", alg.Name(), err)
 	}
-	got := join.NewPairSet()
-	if err := st.Join(rot, got); err != nil {
-		t.Fatalf("%s: Join: %v", alg.Name(), err)
-	}
-	if !got.Equal(want) {
-		t.Errorf("%s: join output differs from oracle: got %d distinct pairs, want %d (r=%d s=%d pred=%s)",
-			alg.Name(), len(got.Pairs()), len(want.Pairs()), r.Len(), s.Len(), p)
+	for _, emitOnly := range []bool{false, true} {
+		got := join.NewPairSet()
+		var c join.Collector = got
+		if emitOnly {
+			c = EmitOnly{got}
+		}
+		if err := st.Join(rot, c); err != nil {
+			t.Fatalf("%s: Join: %v", alg.Name(), err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("%s: join output differs from oracle (emit-only collector: %v): got %d distinct pairs, want %d (r=%d s=%d pred=%s)",
+				alg.Name(), emitOnly, len(got.Pairs()), len(want.Pairs()), r.Len(), s.Len(), p)
+		}
 	}
 }

@@ -1,7 +1,11 @@
 package sortmerge
 
 import (
+	"cmp"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -17,9 +21,9 @@ func TestParallelSortedCopyEqualsSequential(t *testing.T) {
 			r := jointest.RandomRelation(rng, "R", n, 1000, 4)
 			seq := SortedCopy(r)
 			par := ParallelSortedCopy(r, workers)
-			// Neither sort is stable, so payload order among equal keys
-			// may differ; the key sequence and the (key, payload)
-			// multiset must match exactly.
+			// The key sequence and the (key, payload) multiset must
+			// match exactly; TestSortedCopyMatchesStableOracle pins the
+			// payload order among equal keys too.
 			if par.Len() != seq.Len() {
 				t.Fatalf("n=%d workers=%d: length %d vs %d", n, workers, par.Len(), seq.Len())
 			}
@@ -122,31 +126,179 @@ func TestParallelSortProperty(t *testing.T) {
 	}
 }
 
-func TestMergeRunsEmptyAndSkewedRuns(t *testing.T) {
-	schema := relation.Schema{Name: "R"}
-	runs := []*relation.Relation{
-		relation.FromKeys(schema, nil),
-		relation.FromKeys(schema, []uint64{1, 3, 5}),
-		relation.FromKeys(schema, nil),
-		relation.FromKeys(schema, []uint64{2}),
-		relation.FromKeys(schema, []uint64{0, 0, 9}),
+// stableOracle sorts r's tuples by key with slices.SortStableFunc, so
+// equal keys keep their input order: the radix sort's exact contract.
+func stableOracle(r *relation.Relation) *relation.Relation {
+	idx := make([]int, r.Len())
+	for i := range idx {
+		idx[i] = i
 	}
-	out := mergeRuns(schema, runs)
-	want := []uint64{0, 0, 1, 2, 3, 5, 9}
-	if out.Len() != len(want) {
-		t.Fatalf("len = %d, want %d", out.Len(), len(want))
+	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(r.Key(a), r.Key(b)) })
+	out := relation.New(r.Schema(), r.Len())
+	for _, i := range idx {
+		if err := out.AppendFrom(r, i); err != nil {
+			panic(err)
+		}
 	}
-	for i, k := range want {
-		if out.Key(i) != k {
-			t.Errorf("out[%d] = %d, want %d", i, out.Key(i), k)
+	return out
+}
+
+// checkSort runs SortedCopy and ParallelSortedCopy on r and compares both
+// tuple for tuple with the stable oracle. It also checks that the input
+// is never mutated and that an already-sorted input comes back as the
+// same relation, uncopied.
+func checkSort(t *testing.T, r *relation.Relation, workers int) {
+	t.Helper()
+	want := stableOracle(r)
+	snapshot := r.Clone()
+	for _, got := range []*relation.Relation{SortedCopy(r), ParallelSortedCopy(r, workers)} {
+		if !got.Equal(want) {
+			t.Fatalf("sorted output differs from the stable oracle (n=%d width=%d workers=%d)",
+				r.Len(), r.Schema().PayloadWidth, workers)
+		}
+		if sorted := r.Equal(want); sorted != (got == r) {
+			t.Fatalf("already sorted = %v, but returned the input itself = %v", sorted, got == r)
+		}
+	}
+	if !r.Equal(snapshot) {
+		t.Fatal("input mutated")
+	}
+	if SortedCopy(want) != want {
+		t.Fatal("sorted input should be returned unchanged")
+	}
+}
+
+// keyDists are the key distributions the sort is checked on.
+var keyDists = []struct {
+	name string
+	gen  func(rng *rand.Rand, n int) []uint64
+}{
+	{"all-equal", func(rng *rand.Rand, n int) []uint64 {
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = 0xdead_beef_0042
+		}
+		return keys
+	}},
+	{"high-bit", func(rng *rand.Rand, n int) []uint64 {
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = 1<<63 | rng.Uint64()>>1
+		}
+		return keys
+	}},
+	{"full-range", func(rng *rand.Rand, n int) []uint64 {
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = rng.Uint64()
+		}
+		return keys
+	}},
+	{"giant-msd-bucket", func(rng *rand.Rand, n int) []uint64 {
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = 0x42<<56 | rng.Uint64()>>8
+			if rng.Intn(100) == 0 {
+				keys[i] = rng.Uint64()
+			}
+		}
+		return keys
+	}},
+	{"zipf", func(rng *rand.Rand, n int) []uint64 {
+		z := rand.NewZipf(rng, 1.2, 1, 1<<40)
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = z.Uint64()
+		}
+		return keys
+	}},
+}
+
+// withPayload wraps keys as a relation with random payload blocks of
+// width w, so stability and payload movement are both observable.
+func withPayload(rng *rand.Rand, keys []uint64, w int) *relation.Relation {
+	pay := make([]byte, len(keys)*w)
+	rng.Read(pay)
+	r, err := relation.Wrap(relation.Schema{Name: "R", PayloadWidth: w}, keys, pay)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+func TestSortedCopyMatchesStableOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, dist := range keyDists {
+		for _, n := range []int{0, 1, 2, 31, 32, 33, 4097, 3*minParallel + 7} {
+			for _, w := range []int{0, 4, 13} {
+				t.Run(fmt.Sprintf("%s/n=%d/w=%d", dist.name, n, w), func(t *testing.T) {
+					checkSort(t, withPayload(rng, dist.gen(rng, n), w), 3)
+				})
+			}
 		}
 	}
 }
 
-func TestMergeRunsAllEmpty(t *testing.T) {
-	schema := relation.Schema{Name: "R"}
-	out := mergeRuns(schema, []*relation.Relation{relation.FromKeys(schema, nil)})
-	if out.Len() != 0 {
-		t.Errorf("len = %d", out.Len())
+// TestBucketsEmptyAndSkewed: most top-digit buckets empty, one holding
+// nearly all tuples, the rest a few each; every split of the buckets
+// across workers must reproduce the stable oracle.
+func TestBucketsEmptyAndSkewed(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	keys := make([]uint64, 4*minParallel)
+	for i := range keys {
+		switch i % 50 {
+		case 0:
+			keys[i] = uint64(rng.Intn(3)) << 56
+		case 1:
+			keys[i] = 0xff<<56 | uint64(rng.Intn(1000))
+		default:
+			keys[i] = 0x80<<56 | uint64(rng.Intn(1<<20))
+		}
 	}
+	r := withPayload(rng, keys, 4)
+	for _, workers := range []int{1, 2, 3, 8, 300} {
+		checkSort(t, r, workers)
+	}
+}
+
+// TestSortBucketSizes drives one bucket sort directly around the
+// insertion-sort cutoff, including buckets that the scatter leaves empty
+// or with one tuple.
+func TestSortBucketSizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for n := 0; n <= insertionMax+2; n++ {
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = 7<<56 | uint64(rng.Intn(40))<<20 | uint64(rng.Intn(3))
+		}
+		r := withPayload(rng, keys, 5)
+		want := stableOracle(r)
+		got := r.Clone()
+		newRadix(&[257]int{1: n}, 0, 1, 5).sortBucket(got.Keys(), got.PayloadColumn(), 7)
+		if !got.Equal(want) {
+			t.Errorf("bucket of %d tuples: differs from the stable oracle", n)
+		}
+	}
+}
+
+func FuzzSortedCopy(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte("0123456789abcdefghijklmnopqrstuvwxyz"), uint8(4))
+	f.Add(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, 1<<63), 1), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, wRaw uint8) {
+		w := int(wRaw % 16)
+		n := len(data) / (relation.KeyWidth + w)
+		keys := make([]uint64, n)
+		pay := make([]byte, 0, n*w)
+		for i := range keys {
+			tuple := data[i*(relation.KeyWidth+w):]
+			keys[i] = binary.LittleEndian.Uint64(tuple)
+			pay = append(pay, tuple[relation.KeyWidth:relation.KeyWidth+w]...)
+		}
+		r, err := relation.Wrap(relation.Schema{Name: "R", PayloadWidth: w}, keys, pay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSort(t, r, 2)
+	})
 }

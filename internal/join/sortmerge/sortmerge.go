@@ -1,10 +1,11 @@
 // Package sortmerge implements the sort-merge join of §IV-C.2.
 //
-// Setup phase: sort the fragment by join key (the paper uses the C library
-// qsort; we use the standard library's introsort via sort.Sort, swapping key
-// and payload columns in place). Join phase: merge the sorted rotating
-// fragment against the sorted stationary fragment with a strictly
-// sequential, cache-friendly access pattern.
+// Setup phase: sort the fragment by join key. The paper uses the C library
+// qsort; we radix-sort the key column and move each payload block with its
+// key (psort.go). Join phase: merge the sorted rotating fragment against
+// the sorted stationary fragment with a strictly sequential,
+// cache-friendly access pattern, handing each R tuple's matches to the
+// collector as one contiguous run of S keys and payloads.
 //
 // Like the paper's implementation, the merge supports band joins
 // (|rKey − sKey| ≤ w) as well as plain equi-joins, and the join phase is
@@ -15,7 +16,7 @@ package sortmerge
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -55,7 +56,7 @@ func bandWidth(p join.Predicate) (uint64, error) {
 }
 
 // SetupStationary implements join.Algorithm: sort a copy of s, using the
-// configured parallelism (sorted runs + k-way merge).
+// configured parallelism for the bucket sorts.
 func (Join) SetupStationary(s *relation.Relation, p join.Predicate, opts join.Options) (join.Stationary, error) {
 	w, err := bandWidth(p)
 	if err != nil {
@@ -87,53 +88,6 @@ func (Join) SetupRotating(r *relation.Relation, p join.Predicate, opts join.Opti
 	return ParallelSortedCopy(r, opts.Workers()), nil
 }
 
-// SortedCopy returns a copy of r sorted by join key. If r is already
-// sorted, it is returned unchanged (no copy).
-func SortedCopy(r *relation.Relation) *relation.Relation {
-	if IsSorted(r) {
-		return r
-	}
-	cp := r.Clone()
-	sort.Sort(&sorter{rel: cp, tmp: make([]byte, cp.Schema().PayloadWidth)})
-	return cp
-}
-
-// IsSorted reports whether r's keys are non-decreasing.
-func IsSorted(r *relation.Relation) bool {
-	keys := r.Keys()
-	for i := 1; i < len(keys); i++ {
-		if keys[i] < keys[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
-// sorter sorts a relation in place, moving keys and payload blocks together.
-type sorter struct {
-	rel *relation.Relation
-	tmp []byte
-}
-
-var _ sort.Interface = (*sorter)(nil)
-
-func (s *sorter) Len() int           { return s.rel.Len() }
-func (s *sorter) Less(i, j int) bool { return s.rel.Key(i) < s.rel.Key(j) }
-
-func (s *sorter) Swap(i, j int) {
-	keys := s.rel.Keys()
-	keys[i], keys[j] = keys[j], keys[i]
-	w := s.rel.Schema().PayloadWidth
-	if w == 0 {
-		return
-	}
-	pay := s.rel.PayloadColumn()
-	a, b := pay[i*w:(i+1)*w], pay[j*w:(j+1)*w]
-	copy(s.tmp, a)
-	copy(a, b)
-	copy(b, s.tmp)
-}
-
 // stationary is the sorted stationary fragment.
 type stationary struct {
 	rel   *relation.Relation
@@ -160,8 +114,9 @@ func (st *stationary) Join(r *relation.Relation, c join.Collector) error {
 	if workers > n {
 		workers = n
 	}
+	rc := join.Runs(c)
 	if workers == 1 {
-		st.mergeRange(r, 0, n, 0, c)
+		st.mergeRange(r, 0, n, 0, rc)
 		return nil
 	}
 	// Split R_j into contiguous sub-partitions r_{j,k}, one per core
@@ -173,7 +128,7 @@ func (st *stationary) Join(r *relation.Relation, c join.Collector) error {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			st.mergeRange(r, lo, hi, w, c)
+			st.mergeRange(r, lo, hi, w, rc)
 		}(w)
 	}
 	wg.Wait()
@@ -181,27 +136,34 @@ func (st *stationary) Join(r *relation.Relation, c join.Collector) error {
 }
 
 // mergeRange merges r[lo:hi] against the full stationary run using the
-// sliding-window band merge. For width 0 this degenerates to the classic
-// equi sort-merge with duplicate handling.
-func (st *stationary) mergeRange(r *relation.Relation, lo, hi, worker int, c join.Collector) {
+// sliding-window band merge: [si, sj) is the stretch of S within the band
+// of the current R key. Both ends only move forward because R is sorted,
+// and each R tuple's window goes to the collector as one run. For width 0
+// this degenerates to the classic equi sort-merge with duplicate handling.
+//
+//cyclolint:hotpath
+func (st *stationary) mergeRange(r *relation.Relation, lo, hi, worker int, c join.RunCollector) {
 	ms := st.mergeShard(worker)
 	pd := ms.Begin(trace.PhaseMerge)
 	pd.Arg = int64(hi - lo)
-	sKeys := st.rel.Keys()
+	rKeys, sKeys := r.Keys(), st.rel.Keys()
+	sPay, pw := st.rel.PayloadColumn(), st.rel.Schema().PayloadWidth
 	w := st.width
 	// Binary-search the first s that can match r[lo].
-	first := r.Key(lo)
-	low := satSub(first, w)
-	si := sort.Search(len(sKeys), func(i int) bool { return sKeys[i] >= low })
+	si, _ := slices.BinarySearch(sKeys, satSub(rKeys[lo], w))
+	sj := si
 	for ri := lo; ri < hi; ri++ {
-		rk := r.Key(ri)
-		lowK := satSub(rk, w)
+		rk := rKeys[ri]
+		lowK, highK := satSub(rk, w), satAdd(rk, w)
 		for si < len(sKeys) && sKeys[si] < lowK {
 			si++
 		}
-		highK := satAdd(rk, w)
-		for sj := si; sj < len(sKeys) && sKeys[sj] <= highK; sj++ {
-			c.Emit(rk, sKeys[sj], r.Payload(ri), st.rel.Payload(sj))
+		sj = max(sj, si)
+		for sj < len(sKeys) && sKeys[sj] <= highK {
+			sj++
+		}
+		if sj > si {
+			c.EmitRun(rk, r.Payload(ri), sKeys[si:sj], sPay[si*pw:sj*pw])
 		}
 	}
 	ms.End(pd)

@@ -203,19 +203,26 @@ func TestParallelMergeEqualsSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	r := jointest.RandomRelation(rng, "R", 2000, 64, 4)
 	s := jointest.RandomRelation(rng, "S", 2000, 64, 4)
-	run := func(par int) *join.PairSet {
+	run := func(par int, emitOnly bool) *join.PairSet {
 		st, err := Join{}.SetupStationary(s, join.Band{Width: 2}, join.Options{Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ps := join.NewPairSet()
-		if err := st.Join(SortedCopy(r), ps); err != nil {
+		var c join.Collector = ps
+		if emitOnly {
+			c = jointest.EmitOnly{Collector: ps}
+		}
+		if err := st.Join(SortedCopy(r), c); err != nil {
 			t.Fatal(err)
 		}
 		return ps
 	}
-	if !run(1).Equal(run(8)) {
+	if !run(1, false).Equal(run(8, false)) {
 		t.Error("parallel merge differs from serial")
+	}
+	if !run(1, false).Equal(run(8, true)) {
+		t.Error("parallel merge into an Emit-only collector differs from serial")
 	}
 }
 
