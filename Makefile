@@ -10,15 +10,32 @@ GO ?= go
 # of quietly taxing every CI run.
 LINT_BUDGET ?= 60s
 
-.PHONY: check build vet lint cyclolint lint-sarif lint-stats lint-fix-clean test race chaos chaos-fuzz bench-metrics bench-ring bench-smoke perfbench-test bench-trace smoke-trace smoke-health
+.PHONY: check build vet layering lint cyclolint lint-sarif lint-stats lint-fix-clean test race chaos chaos-fuzz bench-metrics bench-ring bench-smoke perfbench-test bench-trace smoke-trace smoke-health
 
-check: build vet lint race chaos
+check: build vet layering lint race chaos
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# HARNESSES are the test-only packages: fault injectors, fixtures and
+# checkers that production code must never link in.
+HARNESSES = cyclojoin/internal/rdma/chaoslink cyclojoin/internal/rdma/rdmatest \
+	cyclojoin/internal/testutil cyclojoin/internal/join/jointest \
+	cyclojoin/internal/lint/linttest
+
+# layering fails when a non-test package imports a harness. The harnesses
+# may import each other, and cmd/cyclobench, which runs the chaos tier, may
+# import chaoslink. Test files are not counted: go list's .Imports
+# excludes them.
+layering:
+	@$(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | awk -v harnesses="$(HARNESSES)" ' \
+		BEGIN { n = split(harnesses, h, " "); for (i = 1; i <= n; i++) harness[h[i]] = 1 } \
+		$$1 in harness || $$1 == "cyclojoin/cmd/cyclobench" { next } \
+		{ for (i = 2; i <= NF; i++) if ($$i in harness) { print "layering: " $$1 " imports test harness " $$i; bad = 1 } } \
+		END { exit bad }'
 
 # lint runs the repo's own analyzer suite (see internal/lint and
 # DESIGN.md §9) plus staticcheck when it is installed locally. CI runs
@@ -86,9 +103,11 @@ race:
 # partition) against live mem and tcp rings, race-enabled. The unit- and
 # package-level chaos tests (TestChaos* in ring, core, chaoslink) already
 # run under `race`; this drives the same machinery through the CLI the CI
-# fuzz job uses, with a pinned seed so the gate is deterministic.
+# fuzz job uses, with a pinned seed so the gate is deterministic. With
+# -health every scenario also gates its live verdict: a failed link must
+# read degraded on that link, a merely slow one must not.
 chaos:
-	$(GO) run -race ./cmd/cyclobench -chaos -seed 1
+	$(GO) run -race ./cmd/cyclobench -chaos -health -seed 1
 
 # chaos-fuzz explores a fresh schedule per run (seed derived from the
 # clock). The full output — including the reproduce line and the failing

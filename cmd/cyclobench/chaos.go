@@ -148,12 +148,17 @@ func watchHealth(c *core.Cluster, fn func()) health.Verdict {
 	}()
 	sampler.Start()
 	fn()
+	// Stop publishes a final sample, so the tail of the run lands in a
+	// window even when the join finished between ticks. A subscriber that
+	// is still busy with the previous tick can miss it, so it is read back
+	// from Current too.
 	sampler.Stop()
-	// One last sample so the tail of the run lands in a window even when
-	// the join finished between ticks.
-	sampler.SampleOnce()
 	cancel()
-	return <-got
+	worst := <-got
+	if last := sampler.Current().Verdict; last.Kind > worst.Kind {
+		worst = last
+	}
+	return worst
 }
 
 // fmtVerdict renders a verdict for the chaos table's -health column.
@@ -168,11 +173,26 @@ func fmtVerdict(v health.Verdict) string {
 	}
 }
 
+// checkVerdict gates a scenario's worst live health verdict: a scenario
+// that fails its link must come out degraded on that very link, which pins
+// that the ring attributes every failure chaoslink injects; a scenario
+// that only delays frames must not come out degraded at all.
+func checkVerdict(tc chaosCase, v health.Verdict) error {
+	failing := tc.scenario.FailFrame > 0
+	switch {
+	case failing && (v.Kind != health.Degraded || v.Link != tc.link.String()):
+		return fmt.Errorf("health verdict %s, want degraded(%s)", fmtVerdict(v), tc.link)
+	case !failing && v.Kind == health.Degraded:
+		return fmt.Errorf("health verdict %s on a scenario that fails no link", fmtVerdict(v))
+	}
+	return nil
+}
+
 // runChaosCase executes one scenario and returns a short outcome label,
 // the number of dials the faulty link saw, the worst live health verdict
-// (empty unless withHealth), and the verification error (nil when the
-// case met its acceptance condition).
-func runChaosCase(tc chaosCase, withHealth bool) (string, int, string, error) {
+// (the zero Verdict unless withHealth), and the verification error (nil
+// when the case met its acceptance condition).
+func runChaosCase(tc chaosCase, withHealth bool) (string, int, health.Verdict, error) {
 	links := ring.MemLinks()
 	if tc.transport == "tcp" {
 		links = ring.TCPLinks()
@@ -192,7 +212,7 @@ func runChaosCase(tc chaosCase, withHealth bool) (string, int, string, error) {
 		},
 	})
 	if err != nil {
-		return "setup failed", 0, "", err
+		return "setup failed", 0, health.Verdict{}, err
 	}
 	defer func() {
 		_ = c.Close()
@@ -202,9 +222,9 @@ func runChaosCase(tc chaosCase, withHealth bool) (string, int, string, error) {
 	var res *core.Result
 	var joinErr error
 	run := func() { res, joinErr = c.JoinRelations(r, s, false) }
-	verdict := ""
+	var verdict health.Verdict
 	if withHealth {
-		verdict = fmtVerdict(watchHealth(c, run))
+		verdict = watchHealth(c, run)
 	} else {
 		run()
 	}
@@ -241,8 +261,10 @@ func runChaos(w io.Writer, seed uint64, withHealth bool) int {
 		seed = uint64(time.Now().UnixNano())
 	}
 	cols := []string{"scenario", "transport", "mode", "link", "dials", "outcome"}
+	flags := "-chaos"
 	if withHealth {
 		cols = append(cols, "verdict")
+		flags += " -health"
 	}
 	tbl := stats.NewTable(fmt.Sprintf("Chaos scenarios (seed %d)", seed), cols...)
 	failures := 0
@@ -252,16 +274,19 @@ func runChaos(w io.Writer, seed uint64, withHealth bool) int {
 			mode = "writes"
 		}
 		outcome, dials, verdict, err := runChaosCase(tc, withHealth)
+		if err == nil && withHealth {
+			err = checkVerdict(tc, verdict)
+		}
 		if err != nil {
 			failures++
 			fmt.Fprintf(os.Stderr,
-				"cyclobench: chaos FAIL %s/%s/%s: %v\n  reproduce: cyclobench -chaos -seed %d\n  schedule: link %s %+v faultDials=%d retries=%d\n",
-				tc.name, tc.transport, mode, err, seed, tc.link, tc.scenario, tc.faultDials, tc.retries)
+				"cyclobench: chaos FAIL %s/%s/%s: %v\n  reproduce: cyclobench %s -seed %d\n  schedule: link %s %+v faultDials=%d retries=%d\n",
+				tc.name, tc.transport, mode, err, flags, seed, tc.link, tc.scenario, tc.faultDials, tc.retries)
 		}
 		row := []string{tc.name, tc.transport, mode, tc.link.String(),
 			fmt.Sprintf("%d", dials), outcome}
 		if withHealth {
-			row = append(row, verdict)
+			row = append(row, fmtVerdict(verdict))
 		}
 		tbl.AddRow(row...)
 	}

@@ -42,7 +42,7 @@ func run() int {
 	showTrace := flag.Bool("trace", false, "enable the flight recorder and print its per-phase share table after each experiment")
 	chaos := flag.Bool("chaos", false, "run the seeded fault-injection scenarios against live rings instead of experiments")
 	seed := flag.Uint64("seed", 1, "schedule seed for -chaos (0 derives one from the clock)")
-	withHealth := flag.Bool("health", false, "with -chaos: run the live health sampler over each scenario and add its worst verdict to the table")
+	withHealth := flag.Bool("health", false, "with -chaos: run the live health sampler over each scenario and add its worst verdict to the table; a failed link must read degraded on that link, a delay-only scenario must not")
 	flag.Parse()
 
 	if *showTrace {

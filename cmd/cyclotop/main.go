@@ -1,7 +1,7 @@
 // Command cyclotop is `top` for a spinning ring: it follows a roundabout
 // process's /health/live SSE feed and renders a refreshing per-node table
 // — phase shares, windowed hop latency percentiles, autotuner chunk size,
-// credit stalls, chaoslink fault counts — plus the sampler's verdict line
+// credit stalls, per-link failure counts — plus the sampler's verdict line
 // (healthy / straggler / credit-stall / degraded).
 //
 // Usage:
@@ -152,9 +152,9 @@ func render(w io.Writer, snap *health.Snapshot) error {
 	if len(snap.Faults) > 0 {
 		parts := make([]string, 0, len(snap.Faults))
 		for _, lf := range snap.Faults {
-			parts = append(parts, fmt.Sprintf("%s: %dd/%dc/%ddl", lf.Link, lf.Drops, lf.Corrupts, lf.Delays))
+			parts = append(parts, fmt.Sprintf("%s: %d", lf.Link, lf.Failures))
 		}
-		fmt.Fprintf(w, "chaos faults (drops/corrupts/delays): %s\n", strings.Join(parts, "  "))
+		fmt.Fprintf(w, "link failures: %s\n", strings.Join(parts, "  "))
 	}
 	v := snap.Verdict
 	switch v.Kind {

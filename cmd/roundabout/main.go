@@ -19,7 +19,9 @@
 // FILE the cross-layer flight recorder captures spans from every layer
 // (transport work requests, ring pipeline, join phases) and writes a
 // Perfetto trace-event JSON file that loads in ui.perfetto.dev and feeds
-// the cyclotrace analyzer.
+// the cyclotrace analyzer. With -trace the same recorder counts the ring
+// pipeline's receive, join, send and retire spans and prints a one-line
+// summary after the join.
 package main
 
 import (
@@ -55,7 +57,7 @@ func run() int {
 		slots     = flag.Int("slots", 4, "ring buffer elements per host")
 		seed      = flag.Int64("seed", 1, "workload seed")
 		oneSided  = flag.Bool("write", false, "use one-sided RDMA writes instead of send/recv")
-		traced    = flag.Bool("trace", false, "print a runtime event summary after the join")
+		traced    = flag.Bool("trace", false, "print a ring span summary (received, processed, sent, retired) after the join")
 		metricsAt = flag.String("metrics", "", "serve Prometheus metrics at http://ADDR/metrics while running (e.g. 127.0.0.1:9090); empty disables")
 		flightrec = flag.String("flightrec", "", "record cross-layer spans and write a Perfetto trace-event JSON FILE (view at ui.perfetto.dev or with cyclotrace)")
 		rotations = flag.Int("rotations", 1, "full revolutions to run (reusing the setup phase); >1 keeps the ring spinning for live observation with cyclotop")
@@ -65,7 +67,7 @@ func run() int {
 
 	// The recorder must be armed before the cluster exists: nodes, links and
 	// join algorithms take their shards at construction time.
-	if *flightrec != "" {
+	if *traced || *flightrec != "" {
 		trace.Flight().Enable(trace.DefaultShardCap)
 	}
 
@@ -122,12 +124,7 @@ func run() int {
 		return 2
 	}
 
-	var buf *trace.Buffer
 	rcfg := cyclojoin.RingConfig{BufferSlots: *slots, OneSidedWrites: *oneSided}
-	if *traced {
-		buf = &trace.Buffer{}
-		rcfg.Tracer = buf
-	}
 	cluster, err := cyclojoin.NewCluster(cyclojoin.Config{
 		Nodes:     *nodes,
 		Algorithm: alg,
@@ -198,10 +195,15 @@ func run() int {
 		fmt.Printf("  host %d: processed %2d fragments, in %8d B, out %8d B, compute %v, wait %v\n",
 			i, ns.Processed, ns.BytesIn, ns.BytesOut, ns.ProcessTime.Round(1e5), ns.WaitTime.Round(1e5))
 	}
-	if buf != nil {
-		fmt.Printf("trace: %d events (%d received, %d processed, %d sent, %d retired)\n",
-			buf.Len(), buf.Count(trace.FragmentReceived), buf.Count(trace.ProcessEnd),
-			buf.Count(trace.FragmentSent), buf.Count(trace.FragmentRetired))
+	if *traced {
+		spans := settledSpans(trace.Flight())
+		count := make(map[trace.Phase]int)
+		for _, sp := range spans {
+			count[sp.Phase]++
+		}
+		fmt.Printf("trace: %d spans (%d received, %d processed, %d sent, %d retired)\n",
+			len(spans), count[trace.PhaseReceive], count[trace.PhaseJoin],
+			count[trace.PhaseSend], count[trace.PhaseRetire])
 	}
 	if *flightrec != "" {
 		if err := writeFlightRecording(*flightrec); err != nil {
@@ -212,22 +214,27 @@ func run() int {
 	return 0
 }
 
+// settledSpans snapshots rec once the recording has gone quiet. The send
+// reapers close post-to-completion spans off the retirement critical path,
+// so the join can finish a beat before the last send spans land.
+func settledSpans(rec *trace.Recorder) []trace.Span {
+	spans := rec.Snapshot()
+	for i := 0; i < 40; i++ {
+		time.Sleep(5 * time.Millisecond)
+		next := rec.Snapshot()
+		if len(next) == len(spans) {
+			break
+		}
+		spans = next
+	}
+	return spans
+}
+
 // writeFlightRecording drains the process flight recorder into a Perfetto
 // trace-event JSON file.
 func writeFlightRecording(path string) error {
 	rec := trace.Flight()
-	// The send reapers close post-to-completion spans off the retirement
-	// critical path, so the join can finish a beat before the last send
-	// spans land; wait for the recording to go quiet before snapshotting.
-	prev := -1
-	for i := 0; i < 40; i++ {
-		n := len(rec.Snapshot())
-		if n == prev {
-			break
-		}
-		prev = n
-		time.Sleep(5 * time.Millisecond)
-	}
+	settledSpans(rec)
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("flight recording: %w", err)

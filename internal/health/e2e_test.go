@@ -126,6 +126,9 @@ func TestSamplerRaceUnderLiveRevolutions(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
+	// Stop publishes a final sample after the loop exits, so a snapshot
+	// exists however few ticks fired during the short spin.
+	s.Stop()
 	snap := s.Current()
 	if snap == nil {
 		t.Fatal("no snapshot published")
@@ -194,5 +197,49 @@ func TestE2EStragglerNamesTheSlowNode(t *testing.T) {
 	}
 	if a.SlowestNode != snap.Verdict.Node {
 		t.Errorf("live (%d) and offline (%d) attribution disagree", snap.Verdict.Node, a.SlowestNode)
+	}
+}
+
+// TestE2EDegradedNamesTheFailedLink drops one frame on link 1→2 of a live
+// ring with recovery on. The window holding the failure must read Degraded
+// on that link, from the failure the ring itself attributed (chaoslink
+// only injects it), and the next window, with the link recovered and
+// quiet, must not.
+func TestE2EDegradedNamesTheFailedLink(t *testing.T) {
+	link := chaoslink.Link{From: 1, To: 2}
+	plan := &chaoslink.Plan{PerLink: map[chaoslink.Link]*chaoslink.Scenario{
+		link: {Seed: 1, FailFrame: 1},
+	}}
+	c, err := core.NewCluster(core.Config{
+		Nodes:     3,
+		Algorithm: hashjoin.Join{},
+		Predicate: join.Equi{},
+		Links:     ring.LinkFactory(plan.Wrap(ring.MemLinks())),
+		Ring:      ring.Config{Recovery: ring.Recovery{MaxRetries: 4, Backoff: time.Millisecond}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		_ = c.Close()
+	}()
+
+	s := health.NewSampler(c.Ring(), health.Options{Interval: time.Hour})
+	s.SampleOnce() // baseline
+	spinRing(t, c, 0)
+	snap := s.SampleOnce()
+	if snap.Verdict.Kind != health.Degraded {
+		t.Fatalf("verdict = %v (%s), want degraded", snap.Verdict.Kind, snap.Verdict.Reason)
+	}
+	if snap.Verdict.Link != "1→2" {
+		t.Errorf("degraded link = %q, want 1→2", snap.Verdict.Link)
+	}
+	if len(snap.Faults) != 1 || snap.Faults[0].Link != "1→2" || snap.Faults[0].Failures < 1 {
+		t.Errorf("faults = %+v, want failures on 1→2 only", snap.Faults)
+	}
+
+	spinRing(t, c, 0)
+	if snap := s.SampleOnce(); snap.Verdict.Kind == health.Degraded {
+		t.Errorf("verdict still degraded after a clean revolution: %s", snap.Verdict.Reason)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"cyclojoin/internal/metrics"
-	"cyclojoin/internal/rdma/chaoslink"
 	"cyclojoin/internal/ring"
 	"cyclojoin/internal/trace"
 )
@@ -44,8 +43,8 @@ const (
 	// CreditStall: a link's sender spends an outsized share of the
 	// window waiting on send credits — downstream backpressure.
 	CreditStall
-	// Degraded: injected or real link faults (drops, corrupted
-	// doorbells) hit this window; recovery or partial results follow.
+	// Degraded: a link failed this window (a transport error the ring
+	// attributed to a directed link and recovered from, or gave up on).
 	Degraded
 )
 
@@ -115,13 +114,11 @@ type NodeSample struct {
 	ChunkBytes   int64 `json:"chunk_bytes"`
 }
 
-// LinkFaults is one directed link's cumulative injected-fault tally
-// (mirrors chaoslink.SnapshotFaults, JSON-friendly).
+// LinkFaults is one directed link's cumulative failure count, as the
+// ring attributed it (ring.NodeHealth.LinkFailures of the sending node).
 type LinkFaults struct {
 	Link     string `json:"link"`
-	Drops    int64  `json:"drops"`
-	Corrupts int64  `json:"corrupts"`
-	Delays   int64  `json:"delays"`
+	Failures int64  `json:"failures"`
 }
 
 // Snapshot is one published tick: immutable once swapped in.
@@ -230,8 +227,9 @@ func newNodeGauges(id int) nodeGauges {
 	}
 }
 
-// Sampler runs the pipeline. Construct with NewSampler; Start launches
-// the ticker goroutine, or call SampleOnce from your own cadence (tests).
+// Sampler runs the pipeline. Construct with NewSampler; Start takes the
+// baseline and launches the ticker goroutine, Stop ends it with a final
+// sample. Or call SampleOnce from your own cadence (tests).
 type Sampler struct {
 	src Source
 	opt Options
@@ -247,40 +245,37 @@ type Sampler struct {
 	scratch  []ring.NodeHealth
 	prevTime time.Time
 	states   map[int]*nodeState
-	// prevFaults holds each link's drops+corrupts at the previous tick,
-	// so Degraded fires on faults that moved THIS window, not on any
-	// fault the process has ever seen.
-	prevFaults map[string]int64
 	lastKind   VerdictKind
 	profile    []byte
 	profBusy   bool
 
-	startOnce sync.Once
-	stop      chan struct{}
-	done      chan struct{}
+	startOnce, stopOnce sync.Once
+	stop                chan struct{}
+	done                chan struct{}
 }
 
 // NewSampler builds a sampler over src. It does not start sampling.
 func NewSampler(src Source, opt Options) *Sampler {
 	return &Sampler{
-		src:        src,
-		opt:        opt.withDefaults(),
-		m:          newSamplerMetrics(),
-		subs:       make(map[chan *Snapshot]struct{}),
-		states:     make(map[int]*nodeState),
-		prevFaults: make(map[string]int64),
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
+		src:    src,
+		opt:    opt.withDefaults(),
+		m:      newSamplerMetrics(),
+		subs:   make(map[chan *Snapshot]struct{}),
+		states: make(map[int]*nodeState),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 }
 
-// Start launches the ticker loop; the first sample is taken immediately
-// (a baseline — deltas begin with the second). Idempotent.
+// Start takes the baseline sample, then launches the ticker loop; deltas
+// begin with the first tick. The baseline is published before Start
+// returns, so whatever the caller does next lands in a window instead of
+// being absorbed into the baseline. Idempotent.
 func (s *Sampler) Start() {
 	s.startOnce.Do(func() {
+		s.SampleOnce()
 		go func() {
 			defer close(s.done)
-			s.SampleOnce()
 			t := time.NewTicker(s.opt.Interval)
 			defer t.Stop()
 			for {
@@ -295,16 +290,23 @@ func (s *Sampler) Start() {
 	})
 }
 
-// Stop halts the ticker loop and waits for it to exit. Safe to call
-// without Start (and more than once).
+// Stop halts the ticker loop, waits for it to exit, then publishes one
+// final sample, so the tail of the run since the last tick lands in a
+// window. Safe to call without Start (no sample is taken then) and more
+// than once.
 func (s *Sampler) Stop() {
-	select {
-	case <-s.stop:
-	default:
+	s.stopOnce.Do(func() {
 		close(s.stop)
-	}
-	s.startOnce.Do(func() { close(s.done) })
-	<-s.done
+		started := true
+		s.startOnce.Do(func() {
+			started = false
+			close(s.done)
+		})
+		<-s.done
+		if started {
+			s.SampleOnce()
+		}
+	})
 }
 
 // Current returns the latest snapshot, or nil before the first sample.
@@ -390,6 +392,7 @@ func (s *Sampler) build(now time.Time, cur []ring.NodeHealth) *Snapshot {
 
 	rows := make([]trace.PhaseTotals, 0, len(cur))
 	var faultDelta int64
+	worstLink, worstLinkDelta := "", int64(0)
 	alpha := s.opt.Alpha
 	for i := range cur {
 		nh := &cur[i]
@@ -402,7 +405,22 @@ func (s *Sampler) build(now time.Time, cur []ring.NodeHealth) *Snapshot {
 			s.states[nh.Node] = st
 		}
 		ns := NodeSample{Node: nh.Node, QueueDepth: nh.QueueDepth, ChunkBytes: nh.ChunkBytes}
-		if prev, ok := prevByNode[nh.Node]; ok && !first {
+		prev, hasPrev := prevByNode[nh.Node]
+		hasPrev = hasPrev && !first
+		if nh.LinkFailures > 0 {
+			link := fmt.Sprintf("%d→%d", nh.Node, (nh.Node+1)%len(cur))
+			snap.Faults = append(snap.Faults, LinkFaults{Link: link, Failures: nh.LinkFailures})
+			// Degraded fires on failures that moved THIS window, not on
+			// any the ring has ever seen.
+			if hasPrev {
+				d := nh.LinkFailures - prev.LinkFailures
+				faultDelta += d
+				if d > worstLinkDelta {
+					worstLink, worstLinkDelta = link, d
+				}
+			}
+		}
+		if hasPrev {
 			w := float64(window.Nanoseconds())
 			busy := float64(nh.JoinNs-prev.JoinNs+nh.StageNs-prev.StageNs) / w
 			wait := float64(nh.WaitNs-prev.WaitNs) / w
@@ -451,23 +469,6 @@ func (s *Sampler) build(now time.Time, cur []ring.NodeHealth) *Snapshot {
 		snap.Nodes = append(snap.Nodes, ns)
 	}
 
-	worstLink, worstLinkDelta := "", int64(0)
-	for _, fc := range chaoslink.SnapshotFaults() {
-		name := fc.Link.String()
-		snap.Faults = append(snap.Faults, LinkFaults{
-			Link: name, Drops: fc.Drops, Corrupts: fc.Corrupts, Delays: fc.Delays,
-		})
-		failures := fc.Drops + fc.Corrupts
-		d := failures - s.prevFaults[name]
-		s.prevFaults[name] = failures
-		if !first && d > 0 {
-			faultDelta += d
-			if d > worstLinkDelta {
-				worstLink, worstLinkDelta = name, d
-			}
-		}
-	}
-
 	if first || len(rows) == 0 {
 		return snap
 	}
@@ -482,13 +483,13 @@ func (s *Sampler) build(now time.Time, cur []ring.NodeHealth) *Snapshot {
 // verdict ranks the window's signals, worst first: faults beat a
 // straggler beats a credit stall beats healthy. The caller holds s.mu.
 func (s *Sampler) verdict(snap *Snapshot, attr trace.Attribution, faults int64, faultLink string) Verdict {
-	// Degraded: failure faults (drops, corrupted doorbells — not mere
-	// delays, which surface as straggling) moved this window; recovery
-	// or graceful degradation is in play right now.
+	// Degraded: links failed this window (mere delays surface as
+	// straggling, not here); recovery or graceful degradation is in play
+	// right now.
 	if faults > 0 {
 		return Verdict{
 			Kind: Degraded, Node: -1, Link: faultLink,
-			Reason: fmt.Sprintf("%d link fault(s) this window, worst on %s", faults, faultLink),
+			Reason: fmt.Sprintf("%d link failure(s) this window, worst on %s", faults, faultLink),
 		}
 	}
 	// Straggler: the attribution model's ratio over smoothed floors.

@@ -21,6 +21,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -194,10 +195,21 @@ type family struct {
 // for the same name and label set returns the same instrument, so
 // restarted components keep accumulating into their counters. Lookup
 // takes a lock and is meant for wiring time, not the hot path.
+//
+// A registry can hand out child scopes (Child): a component that owns its
+// instruments, such as one ring, registers into a child, reads its own
+// series back without seeing any other component's, and folds them into
+// the parent when it closes. The parent's exposition sums its own series
+// with every open child's, so one endpoint still sees the whole process.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
 	order    []*family
+	// parent is the registry this child is scoped under, nil for a root.
+	parent *Registry
+	// children are the open child scopes. Lock order: a parent's mu
+	// before any child's.
+	children []*Registry
 }
 
 // NewRegistry creates an empty registry.
@@ -213,6 +225,88 @@ var defaultRegistry = NewRegistry()
 // Default returns the process-wide registry.
 func Default() *Registry { return defaultRegistry }
 
+// Child returns an empty registry scoped under r. Until the child is
+// closed, r's Samples and WritePrometheus include its series, summed with
+// every series of the same name and labels in r and in r's other
+// children. Scopes are one level deep: a child cannot have children.
+func (r *Registry) Child() *Registry {
+	if r.parent != nil {
+		panic("metrics: Child of a child registry")
+	}
+	c := NewRegistry()
+	c.parent = r
+	r.mu.Lock()
+	r.children = append(r.children, c)
+	r.mu.Unlock()
+	return c
+}
+
+// Close folds a child's counters and histograms into the parent's own
+// series and detaches the child. A folded series is created in the parent
+// even when it is zero, so a reader that requires a family keeps finding
+// it. Gauges are dropped: the level of a closed component is no longer a
+// fact about the process. The child's instruments stay readable, but
+// updates after Close reach no exposition. Idempotent; a no-op on a root.
+func (r *Registry) Close() {
+	p := r.parent
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	i := slices.Index(p.children, r)
+	if i < 0 {
+		return
+	}
+	p.children = slices.Delete(p.children, i, i+1)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.addTo(p, false)
+}
+
+// addTo adds r's series into dst's same-name, same-label series, creating
+// them (even at zero) where dst lacks them; gauges only when withGauges.
+// The caller holds r.mu and dst.mu, or owns dst outright.
+func (r *Registry) addTo(dst *Registry, withGauges bool) {
+	for _, f := range r.order {
+		if f.kind == KindGauge && !withGauges {
+			continue
+		}
+		for _, s := range f.series {
+			d := dst.lookupLocked(f.kind, f.name, f.help, f.bounds, s.labels).inst
+			switch src := s.inst.(type) {
+			case *Counter:
+				d.(*Counter).Add(src.Value())
+			case *Gauge:
+				d.(*Gauge).Add(src.Value())
+			case *Histogram:
+				h := d.(*Histogram)
+				for b := range src.buckets {
+					h.buckets[b].Add(src.buckets[b].Load())
+				}
+				h.sum.Add(src.Sum())
+			}
+		}
+	}
+}
+
+// view returns a private registry holding r's series summed with its open
+// children's, in first-registration order. Holding r.mu across the copy
+// orders it against a child's Close: a fold is seen either wholly in the
+// child or wholly in r, never twice or not at all.
+func (r *Registry) view() *Registry {
+	v := NewRegistry()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.addTo(v, true)
+	for _, c := range r.children {
+		c.mu.Lock()
+		c.addTo(v, true)
+		c.mu.Unlock()
+	}
+	return v
+}
+
 // seriesKey renders the identity of a label set.
 func seriesKey(labels []string) string {
 	return strings.Join(labels, "\x00")
@@ -226,13 +320,18 @@ func (r *Registry) lookup(kind Kind, name, help string, bounds []int64, labels [
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.lookupLocked(kind, name, help, bounds, labels)
+}
+
+// lookupLocked is lookup with r.mu held.
+func (r *Registry) lookupLocked(kind Kind, name, help string, bounds []int64, labels []string) *series {
 	f, ok := r.families[name]
 	if !ok {
 		f = &family{name: name, help: help, kind: kind, bounds: bounds, byKey: make(map[string]*series)}
 		r.families[name] = f
 		r.order = append(r.order, f)
-	} else if f.kind != kind {
-		panic(fmt.Sprintf("metrics: %s registered as %s, requested as %s", name, f.kind, kind))
+	} else {
+		f.check(kind, bounds)
 	}
 	key := seriesKey(labels)
 	if s, ok := f.byKey[key]; ok {
@@ -254,6 +353,17 @@ func (r *Registry) lookup(kind Kind, name, help string, bounds []int64, labels [
 	return s
 }
 
+// check panics when a same-name family is asked for as another kind, or
+// (when bounds is given) as a histogram with different bucket bounds.
+func (f *family) check(kind Kind, bounds []int64) {
+	if f.kind != kind {
+		panic(fmt.Sprintf("metrics: %s registered as %s, requested as %s", f.name, f.kind, kind))
+	}
+	if kind == KindHistogram && bounds != nil && !slices.Equal(f.bounds, bounds) {
+		panic(fmt.Sprintf("metrics: %s: bounds %v, requested as %v", f.name, f.bounds, bounds))
+	}
+}
+
 // Counter returns the counter for name and labels (alternating key,
 // value), creating it on first use.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
@@ -266,7 +376,8 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 }
 
 // Histogram returns the histogram for name and labels, creating it on
-// first use. The bounds of the first creation win for the whole family.
+// first use. Every series of a family shares its bounds: asking for the
+// family with different bounds panics.
 func (r *Registry) Histogram(name, help string, bounds []int64, labels ...string) *Histogram {
 	if len(bounds) == 0 {
 		panic(fmt.Sprintf("metrics: %s: histogram with no bounds", name))
@@ -293,12 +404,11 @@ type Sample struct {
 	Value int64
 }
 
-// Samples snapshots every series in registration order.
+// Samples snapshots every series in registration order, each summed
+// across r and its open children.
 func (r *Registry) Samples() []Sample {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var out []Sample
-	for _, f := range r.order {
+	for _, f := range r.view().order {
 		for _, s := range f.series {
 			labels := renderLabels(s.labels)
 			switch inst := s.inst.(type) {

@@ -11,12 +11,11 @@ import (
 // WritePrometheus writes every registered metric in the Prometheus text
 // exposition format (version 0.0.4): a # HELP and # TYPE line per
 // family, then one line per series, with histograms expanded into
-// cumulative _bucket series plus _sum and _count.
+// cumulative _bucket series plus _sum and _count. Series of r's open
+// children are summed in, exactly as in Samples.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	bw := bufio.NewWriter(w)
-	for _, f := range r.order {
+	for _, f := range r.view().order {
 		if f.help != "" {
 			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, f.help)
 		}

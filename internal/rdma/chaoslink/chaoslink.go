@@ -29,9 +29,7 @@ package chaoslink
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cyclojoin/internal/metrics"
@@ -55,63 +53,6 @@ var (
 	mRejects  = metrics.Default().Counter("chaoslink_rejected_posts_total", "posts refused because the link was already failed")
 	mHoldNs   = metrics.Default().Histogram("chaoslink_hold_ns", "injected per-frame delay", metrics.ExponentialBounds(1<<10, 4, 12))
 )
-
-// linkFaults tallies one link's injected faults across every dial (a
-// scenario wraps a fresh qp per dial; this table persists), so live health
-// surfaces (cyclotop, /health/live) can show which link the chaos schedule
-// is hitting without scraping Prometheus text.
-type linkFaults struct {
-	drops, corrupts, delays atomic.Int64
-}
-
-var (
-	faultMu  sync.Mutex
-	faultTab = make(map[Link]*linkFaults)
-)
-
-func faultsFor(link Link) *linkFaults {
-	faultMu.Lock()
-	defer faultMu.Unlock()
-	lf := faultTab[link]
-	if lf == nil {
-		lf = &linkFaults{}
-		faultTab[link] = lf
-	}
-	return lf
-}
-
-// FaultCount is one link's cumulative injected-fault tally.
-type FaultCount struct {
-	Link                    Link
-	Drops, Corrupts, Delays int64
-}
-
-// Total sums every fault kind.
-func (f FaultCount) Total() int64 { return f.Drops + f.Corrupts + f.Delays }
-
-// SnapshotFaults returns the per-link cumulative fault counts, sorted by
-// (From, To). Links that have injected nothing yet are included from the
-// moment they are wrapped.
-func SnapshotFaults() []FaultCount {
-	faultMu.Lock()
-	defer faultMu.Unlock()
-	out := make([]FaultCount, 0, len(faultTab))
-	for link, lf := range faultTab {
-		out = append(out, FaultCount{
-			Link:     link,
-			Drops:    lf.drops.Load(),
-			Corrupts: lf.corrupts.Load(),
-			Delays:   lf.delays.Load(),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Link.From != out[j].Link.From {
-			return out[i].Link.From < out[j].Link.From
-		}
-		return out[i].Link.To < out[j].Link.To
-	})
-	return out
-}
 
 // Link names one directed ring link, sender → receiver.
 type Link struct {
@@ -201,9 +142,8 @@ type qp struct {
 	link   Link
 	sc     Scenario
 	shard  *trace.Shard
-	// lf is the link's persistent fault tally; the m* counters are the
-	// same tallies as Prometheus series labeled by kind and link.
-	lf                               *linkFaults
+	// mLink* tally the link's injected faults across every dial, as
+	// Prometheus series labeled by kind and link.
 	mLinkDrop, mLinkCorr, mLinkDelay *metrics.Counter
 
 	cq chan rdma.Completion
@@ -250,7 +190,6 @@ func Wrap(inner rdma.QueuePair, link Link, sc Scenario) rdma.QueuePair {
 		cq:         make(chan rdma.Completion, rdma.CQDepth+16),
 		done:       make(chan struct{}),
 		shard:      trace.Flight().Shard(trace.NodeTransport, "chaos/"+link.String()),
-		lf:         faultsFor(link),
 		mLinkDrop:  metrics.Default().Counter("chaoslink_link_faults_total", "injected faults per directed link", "kind", "drop", "link", link.String()),
 		mLinkCorr:  metrics.Default().Counter("chaoslink_link_faults_total", "injected faults per directed link", "kind", "corrupt_imm", "link", link.String()),
 		mLinkDelay: metrics.Default().Counter("chaoslink_link_faults_total", "injected faults per directed link", "kind", "delay", "link", link.String()),
@@ -437,7 +376,6 @@ func (q *qp) submit(op rdma.Op, buf *rdma.Buffer, isImm bool, forward, corrupt f
 		// pump) for a frame it must re-route.
 		mCorrupts.Inc()
 		q.mLinkCorr.Inc()
-		q.lf.corrupts.Add(1)
 		q.shard.Point(trace.PhaseFault, -1, -1, int64(o))
 		return corrupt()
 	case fail:
@@ -446,7 +384,6 @@ func (q *qp) submit(op rdma.Op, buf *rdma.Buffer, isImm bool, forward, corrupt f
 		// and the inner link is torn down so the peer notices too.
 		mDrops.Inc()
 		q.mLinkDrop.Inc()
-		q.lf.drops.Add(1)
 		q.shard.Point(trace.PhaseFault, -1, -1, int64(o))
 		err := fmt.Errorf("chaoslink %s: dropped frame %d: %w", q.link, o, ErrInjected)
 		select {
@@ -466,7 +403,6 @@ func (q *qp) submit(op rdma.Op, buf *rdma.Buffer, isImm bool, forward, corrupt f
 		}
 		mDelays.Inc()
 		q.mLinkDelay.Inc()
-		q.lf.delays.Add(1)
 		mHoldNs.Observe(hold.Nanoseconds())
 		pend := q.shard.Begin(trace.PhaseFault)
 		pend.Arg = hold.Nanoseconds()

@@ -3,6 +3,7 @@ package ring
 import (
 	"testing"
 
+	"cyclojoin/internal/metrics"
 	"cyclojoin/internal/rdma"
 	"cyclojoin/internal/relation"
 	"cyclojoin/internal/workload"
@@ -74,7 +75,7 @@ func BenchmarkRingHopWrites(b *testing.B) {
 // regression guard for the "zero heap allocations per forwarded fragment"
 // property.
 func BenchmarkForwardStage(b *testing.B) {
-	n := newNode(0, Config{Nodes: 2}, nil, nil, make(chan error, 4))
+	n := newNode(0, Config{Nodes: 2}, metrics.NewRegistry(), nil, nil, make(chan error, 4))
 	recv, err := n.dev.RegisterPool(1, 1<<20)
 	if err != nil {
 		b.Fatal(err)

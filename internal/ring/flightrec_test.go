@@ -45,9 +45,9 @@ func awaitSpanCount(rec *trace.Recorder, p trace.Phase, want int) int {
 }
 
 // checkFlightRecording asserts the span population a full revolution of
-// every fragment must produce: every join-entity phase accounted for,
-// every fragment's retirement marked, and the pipeline phases tiling each
-// node's wall clock.
+// every fragment must produce: every join-entity phase accounted for, each
+// fragment joined once per node, every fragment's retirement marked, and
+// the pipeline phases tiling each node's wall clock.
 func checkFlightRecording(t *testing.T, rec *trace.Recorder, nodes int) {
 	t.Helper()
 	// Let the reapers close the trailing send spans before snapshotting.
@@ -68,6 +68,20 @@ func checkFlightRecording(t *testing.T, rec *trace.Recorder, nodes int) {
 	wantJoins := nodes * nodes
 	if counts[trace.PhaseJoin] != wantJoins {
 		t.Errorf("join spans = %d, want %d", counts[trace.PhaseJoin], wantJoins)
+	}
+	// Each (fragment, node) is joined exactly once: one PhaseJoin span per
+	// pair, never a repeat on a node.
+	type visit struct{ frag, node int32 }
+	joined := make(map[visit]bool, wantJoins)
+	for _, sp := range spans {
+		if sp.Phase != trace.PhaseJoin {
+			continue
+		}
+		k := visit{sp.Frag, sp.Node}
+		if joined[k] {
+			t.Fatalf("fragment %d joined twice at node %d", sp.Frag, sp.Node)
+		}
+		joined[k] = true
 	}
 	if counts[trace.PhaseStage] != wantJoins {
 		t.Errorf("stage spans = %d, want %d", counts[trace.PhaseStage], wantJoins)

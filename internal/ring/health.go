@@ -3,9 +3,10 @@ package ring
 // The health snapshot is the ring's side of the live telemetry contract
 // (DESIGN.md §12): internal/health samples it on a ticker and diffs
 // successive snapshots into windowed rates. Everything here reads the
-// counters the hot path already maintains — plain atomic loads, no locks,
-// no allocation beyond the caller-reusable dst slices — so sampling a
-// spinning ring costs the hot path nothing.
+// ring's own registry instruments, the counters the hot path already
+// maintains — plain atomic loads, no locks, no allocation beyond the
+// caller-reusable dst slices — so sampling a spinning ring costs the hot
+// path nothing, and another ring in the process cannot move the readings.
 
 // NodeHealth is one node's cumulative hot-path accounting. All fields are
 // monotonically non-decreasing except QueueDepth and ChunkBytes (point-in-
@@ -21,6 +22,9 @@ type NodeHealth struct {
 	WaitNs, JoinNs, StageNs, StallNs int64
 	// Materializes counts congestion fallbacks (no free send buffer).
 	Materializes int64
+	// LinkFailures counts the failures Run attributed to this node's
+	// outbound link (node → node+1) and recovered from.
+	LinkFailures int64
 	// QueueDepth is the join entity's input backlog right now.
 	QueueDepth int64
 	// ChunkBytes is the autotuner's current chunk size, 0 without one.
@@ -44,15 +48,16 @@ func (r *Ring) HealthSnapshot(dst []NodeHealth) []NodeHealth {
 	for _, n := range r.nodes {
 		nh := NodeHealth{
 			Node:         n.id,
-			Processed:    n.stats.processed.Load(),
-			Retired:      n.stats.retired.Load(),
-			BytesIn:      n.stats.bytesIn.Load(),
-			BytesOut:     n.stats.bytesOut.Load(),
-			WaitNs:       n.stats.waitNs.Load(),
-			JoinNs:       n.stats.processNs.Load(),
-			StageNs:      n.stats.stageNs.Load(),
-			StallNs:      n.stats.stallNs.Load(),
+			Processed:    n.m.processed.Value(),
+			Retired:      n.m.retired.Value(),
+			BytesIn:      n.m.bytesIn.Value(),
+			BytesOut:     n.m.bytesOut.Value(),
+			WaitNs:       n.m.waitNs.Sum(),
+			JoinNs:       n.m.processNs.Sum(),
+			StageNs:      n.m.stageNs.Value(),
+			StallNs:      n.m.stallNs.Value(),
 			Materializes: n.m.materializes.Value(),
+			LinkFailures: n.m.linkFailures.Value(),
 			QueueDepth:   n.m.procDepth.Value(),
 			ChunkBytes:   chunk,
 			HopBounds:    n.m.hopNs.Bounds(),

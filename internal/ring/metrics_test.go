@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -93,5 +94,45 @@ func TestMetricsIncreaseAcrossRevolution(t *testing.T) {
 			}
 		}
 		before = after
+	}
+}
+
+// TestRingsDoNotShareCounters runs ring B while ring A, with the same node
+// ids, sits idle in the same process: A's stats and health readings must
+// not move. Every node instrument lives in its ring's own registry scope,
+// so nothing keyed only by node id is shared between rings.
+func TestRingsDoNotShareCounters(t *testing.T) {
+	const nodes = 3
+	a, _ := newRecorderRing(t, nodes, Config{}, nil)
+	b, _ := newRecorderRing(t, nodes, Config{}, nil)
+	statsBefore := a.Stats()
+	healthBefore := a.HealthSnapshot(nil)
+
+	frags := buildFrags(t, nodes, 300)
+	for rev := 0; rev < 3; rev++ {
+		if err := b.Run(perNode(frags)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := b.Stats()[0].Processed; got == 0 {
+		t.Fatal("ring B processed nothing; the test exercises nothing")
+	}
+
+	if got := a.Stats(); !reflect.DeepEqual(got, statsBefore) {
+		t.Errorf("ring A stats moved while only ring B ran:\n got %+v\nwant %+v", got, statsBefore)
+	}
+	healthAfter := a.HealthSnapshot(nil)
+	for i := range healthAfter {
+		got, want := healthAfter[i], healthBefore[i]
+		if !reflect.DeepEqual(got.HopCounts, want.HopCounts) {
+			t.Errorf("ring A node %d HopCounts moved: %v → %v", i, want.HopCounts, got.HopCounts)
+		}
+		if got.Materializes != want.Materializes || got.QueueDepth != want.QueueDepth {
+			t.Errorf("ring A node %d materializes/queue depth moved: %d/%d → %d/%d",
+				i, want.Materializes, want.QueueDepth, got.Materializes, got.QueueDepth)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("ring A node %d health moved:\n got %+v\nwant %+v", i, got, want)
+		}
 	}
 }

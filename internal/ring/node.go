@@ -8,7 +8,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cyclojoin/internal/metrics"
@@ -52,17 +51,33 @@ const txBatch = 16
 // clock traffic.
 const timerSample = 16
 
-// nodeMetrics are one ring position's hot-path instruments, labeled by
-// node id. Lookup is idempotent, so a replaced or re-created node keeps
-// accumulating into the same series.
+// nodeMetrics are one ring position's instruments, labeled by node id in
+// the ring's own registry scope. They are the node's only counters:
+// NodeStats, HealthSnapshot and /metrics all read them. Lookup is
+// idempotent, so a replaced node keeps accumulating into its position's
+// series.
 type nodeMetrics struct {
 	bytesIn   *metrics.Counter
 	bytesOut  *metrics.Counter
 	processed *metrics.Counter
 	retired   *metrics.Counter
 	procDepth *metrics.Gauge
+	// waitNs and processNs are the paper's sync and join time per
+	// fragment; their sums are NodeStats.WaitTime and ProcessTime.
 	waitNs    *metrics.Histogram
 	processNs *metrics.Histogram
+	// stageNs accumulates post-Process staging time (forward copy, encode,
+	// retirement bookkeeping); with processNs it is the node's busy time in
+	// the attribution model's sense.
+	stageNs *metrics.Counter
+	// stallNs accumulates send-side backpressure: waiting for a free send
+	// buffer, and in write mode for a remote credit. A node whose
+	// downstream neighbor lags shows it here first.
+	stallNs    *metrics.Counter
+	registered *metrics.Gauge
+	// linkFailures counts the recoverable failures Run attributed to this
+	// node's outbound link.
+	linkFailures *metrics.Counter
 
 	// Zero-copy hot-path accounting: every received frame should be a
 	// view bind (no decode allocation), and every non-first hop a frame
@@ -82,8 +97,7 @@ type nodeMetrics struct {
 	hopNs *metrics.Histogram
 }
 
-func newNodeMetrics(id int) nodeMetrics {
-	r := metrics.Default()
+func newNodeMetrics(r *metrics.Registry, id int) nodeMetrics {
 	node := strconv.Itoa(id)
 	return nodeMetrics{
 		bytesIn:      r.Counter("ring_bytes_in_total", "encoded wire bytes received per ring node", "node", node),
@@ -93,6 +107,10 @@ func newNodeMetrics(id int) nodeMetrics {
 		procDepth:    r.Gauge("ring_procq_depth", "fragments queued for the join entity", "node", node),
 		waitNs:       r.Histogram("ring_wait_ns", "join-entity starvation (sync) time per fragment", durationBounds, "node", node),
 		processNs:    r.Histogram("ring_process_ns", "join-entity processing time per fragment", durationBounds, "node", node),
+		stageNs:      r.Counter("ring_stage_ns_total", "post-process staging time of the join entity", "node", node),
+		stallNs:      r.Counter("ring_stall_ns_total", "send-side backpressure: waits for a free send buffer or a remote credit", "node", node),
+		registered:   r.Gauge("ring_registered_bytes", "registered (pinned) buffer bytes per ring node", "node", node),
+		linkFailures: r.Counter("ring_link_failures_total", "transport failures of the link from this node, as attributed by ring recovery", "node", node),
 		views:        r.Counter("ring_views_total", "received frames bound as allocation-free views of registered memory", "node", node),
 		forwards:     r.Counter("ring_forwards_total", "fragments forwarded by wire-frame copy and hops patch, no decode or re-encode", "node", node),
 		encodes:      r.Counter("ring_encodes_total", "fragments fully serialized into a send buffer (first hop of locally injected fragments)", "node", node),
@@ -139,27 +157,6 @@ type outbound struct {
 	sz          int
 }
 
-// hotStats holds the per-node counters bumped on the hot path. Plain
-// atomics, one bump per field: deliver, procLoop and the transmitters never
-// take a mutex for bookkeeping, and snapshot() assembles a NodeStats from a
-// set of independently-consistent loads.
-type hotStats struct {
-	processed, retired atomic.Int64
-	bytesIn, bytesOut  atomic.Int64
-	// waitNs/processNs accumulate the paper's sync/join time in
-	// nanoseconds.
-	waitNs, processNs atomic.Int64
-	// stageNs accumulates post-Process staging time (forward copy /
-	// encode / retirement bookkeeping) — with processNs it is the node's
-	// "busy" time in the attribution model's sense.
-	stageNs atomic.Int64
-	// stallNs accumulates send-side backpressure: waiting for a free send
-	// buffer, and in write mode for a remote credit. A node whose
-	// downstream neighbor lags shows it here first.
-	stallNs         atomic.Int64
-	registeredBytes atomic.Int64
-}
-
 // node is one Data Roundabout host: receiver + join entity + transmitter
 // over a statically registered buffer pool.
 //
@@ -176,10 +173,6 @@ type node struct {
 	// proc is the join entity.
 	proc Processor
 	dev  *rdma.Device
-	tr   trace.Tracer
-	// trOn gates the Event call sites: with the Nop tracer the hot paths
-	// skip both the time.Now() and the interface call entirely.
-	trOn bool
 
 	in, out rdma.QueuePair
 
@@ -297,8 +290,6 @@ type node struct {
 	sendStop chan struct{}
 	sendWG   sync.WaitGroup
 
-	stats hotStats
-
 	// bindTick/stageTick drive the timerSample decimation. Single-writer:
 	// bindTick belongs to the receiver goroutine, stageTick to the join
 	// loop. A node runs either the read-mode or the write-mode receive
@@ -320,17 +311,13 @@ type node struct {
 	sendPend map[*rdma.Buffer]trace.Pending
 }
 
-func newNode(id int, cfg Config, proc Processor, retired chan<- retirement, errc chan<- error) *node {
+func newNode(id int, cfg Config, reg *metrics.Registry, proc Processor, retired chan<- retirement, errc chan<- error) *node {
 	slots := cfg.slots()
 	fl := cfg.flightRecorder()
-	tr := cfg.tracer()
-	_, isNop := tr.(trace.Nop)
 	return &node{
 		id:           id,
 		cfg:          cfg,
 		proc:         proc,
-		tr:           tr,
-		trOn:         !isNop,
 		dev:          rdma.OpenDevice(fmt.Sprintf("rnic-%d", id)),
 		procQ:        ringq.NewSPSC[inflight](slots),
 		injectQ:      ringq.NewSPSC[inflight](slots),
@@ -349,7 +336,7 @@ func newNode(id int, cfg Config, proc Processor, retired chan<- retirement, errc
 		retired:      retired,
 		errc:         errc,
 		quit:         make(chan struct{}),
-		m:            newNodeMetrics(id),
+		m:            newNodeMetrics(reg, id),
 		frecv:        fl.Shard(id, "recv"),
 		fjoin:        fl.Shard(id, "join"),
 		fsend:        fl.Shard(id, "send"),
@@ -395,7 +382,7 @@ func (n *node) start() error {
 		for _, b := range send {
 			n.freeSend.TryPush(b)
 		}
-		n.stats.registeredBytes.Store(n.dev.Stats().BytesPinned)
+		n.m.registered.Set(n.dev.Stats().BytesPinned)
 	}
 	// The three entities below share custody of the pooled views planted
 	// in n.views: each send of a view down the pipeline carries the
@@ -695,14 +682,7 @@ func (n *node) deliver(buf *rdma.Buffer, frame []byte) bool {
 	n.recvMu.Lock()
 	n.pinned[buf] = true
 	n.recvMu.Unlock()
-	n.stats.bytesIn.Add(int64(len(frame)))
 	n.m.bytesIn.Add(int64(len(frame)))
-	if n.trOn {
-		n.tr.Record(trace.Event{
-			Time: time.Now(), Node: n.id, Kind: trace.FragmentReceived,
-			Fragment: frag.Index, Hops: frag.Hops, Bytes: len(frame),
-		})
-	}
 	// The view rides the queue bound to live receive memory, and that is
 	// the point: the buffer credit travels with it (buf stays pinned), and
 	// the join loop releases the credit only after staging or Materialize.
@@ -825,30 +805,15 @@ func (n *node) procLoop() {
 		n.fjoin.End(wpd)
 		jpd := n.fjoin.Begin(trace.PhaseJoin)
 		jpd.Frag, jpd.Hop, jpd.Arg = int32(frag.Index), int32(frag.Hops), int64(frag.Rel.Len())
-		if n.trOn {
-			n.tr.Record(trace.Event{
-				Time: procStart, Node: n.id, Kind: trace.ProcessStart,
-				Fragment: frag.Index, Hops: frag.Hops,
-			})
-		}
 		err := n.proc.Process(frag)
 		procEnd := time.Now()
 		procTime := procEnd.Sub(procStart)
 		n.fjoin.End(jpd)
 		spd := n.fjoin.Begin(trace.PhaseStage)
 		spd.Frag, spd.Hop = int32(frag.Index), int32(frag.Hops)
-		if n.trOn {
-			n.tr.Record(trace.Event{
-				Time: procEnd, Node: n.id, Kind: trace.ProcessEnd,
-				Fragment: frag.Index, Hops: frag.Hops,
-			})
-		}
 
 		// The wait before a fragment that did arrive is "sync" time in
 		// the paper's sense: the join entity starving on the transport.
-		n.stats.waitNs.Add(waited.Nanoseconds())
-		n.stats.processNs.Add(procTime.Nanoseconds())
-		n.stats.processed.Add(1)
 		n.m.waitNs.Observe(waited.Nanoseconds())
 		n.m.processNs.Observe(procTime.Nanoseconds())
 		n.m.processed.Inc()
@@ -867,15 +832,8 @@ func (n *node) procLoop() {
 			// would inf.view.Materialize() before the release — today none
 			// does, Run just counts revolutions.
 			ret := retirement{index: frag.Index, hops: frag.Hops}
-			n.stats.retired.Add(1)
 			n.m.retired.Inc()
 			n.fjoin.Point(trace.PhaseRetire, int32(ret.index), int32(ret.hops), 0)
-			if n.trOn {
-				n.tr.Record(trace.Event{
-					Time: time.Now(), Node: n.id, Kind: trace.FragmentRetired,
-					Fragment: ret.index, Hops: ret.hops,
-				})
-			}
 			n.releaseRecvDeferred(inf.buf)
 			select {
 			case n.retired <- ret:
@@ -960,7 +918,7 @@ func (n *node) procLoop() {
 //cyclolint:hotpath
 func (n *node) finishHop(procStart, procEnd time.Time) {
 	end := time.Now()
-	n.stats.stageNs.Add(end.Sub(procEnd).Nanoseconds())
+	n.m.stageNs.Add(end.Sub(procEnd).Nanoseconds())
 	n.m.hopNs.Observe(end.Sub(procStart).Nanoseconds())
 }
 
@@ -979,13 +937,13 @@ func (n *node) popFreeSend() (*rdma.Buffer, bool) {
 		for i := 0; i < spinPops; i++ {
 			runtime.Gosched()
 			if buf, ok := n.freeSend.TryPop(); ok {
-				n.stats.stallNs.Add(time.Since(stallStart).Nanoseconds())
+				n.m.stallNs.Add(time.Since(stallStart).Nanoseconds())
 				return buf, true
 			}
 		}
 		n.poolWake.Prepare()
 		if buf, ok := n.freeSend.TryPop(); ok {
-			n.stats.stallNs.Add(time.Since(stallStart).Nanoseconds())
+			n.m.stallNs.Add(time.Since(stallStart).Nanoseconds())
 			return buf, true
 		}
 		select {
@@ -1247,17 +1205,7 @@ func (n *node) sendLoop(qp rdma.QueuePair, stop chan struct{}) {
 			n.failLink(stop, true, qp, fmt.Errorf("ring: node %d: post send: %w", n.id, err))
 			return
 		}
-		n.stats.bytesOut.Add(int64(total))
 		n.m.bytesOut.Add(int64(total))
-		if n.trOn {
-			now := time.Now()
-			for i := 0; i < m; i++ {
-				n.tr.Record(trace.Event{
-					Time: now, Node: n.id, Kind: trace.FragmentSent,
-					Fragment: batch[i].index, Hops: batch[i].hops, Bytes: batch[i].sz,
-				})
-			}
-		}
 	}
 }
 
@@ -1444,14 +1392,14 @@ func (n *node) report(err error) {
 
 func (n *node) snapshot() NodeStats {
 	return NodeStats{
-		Processed:       int(n.stats.processed.Load()),
-		Retired:         int(n.stats.retired.Load()),
-		BytesIn:         n.stats.bytesIn.Load(),
-		BytesOut:        n.stats.bytesOut.Load(),
-		ProcessTime:     time.Duration(n.stats.processNs.Load()),
-		WaitTime:        time.Duration(n.stats.waitNs.Load()),
-		StageTime:       time.Duration(n.stats.stageNs.Load()),
-		StallTime:       time.Duration(n.stats.stallNs.Load()),
-		RegisteredBytes: n.stats.registeredBytes.Load(),
+		Processed:       int(n.m.processed.Value()),
+		Retired:         int(n.m.retired.Value()),
+		BytesIn:         n.m.bytesIn.Value(),
+		BytesOut:        n.m.bytesOut.Value(),
+		ProcessTime:     time.Duration(n.m.processNs.Sum()),
+		WaitTime:        time.Duration(n.m.waitNs.Sum()),
+		StageTime:       time.Duration(n.m.stageNs.Value()),
+		StallTime:       time.Duration(n.m.stallNs.Value()),
+		RegisteredBytes: n.m.registered.Value(),
 	}
 }

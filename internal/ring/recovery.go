@@ -44,7 +44,6 @@ import (
 // degradation instead of a wedged cluster.
 
 var (
-	mLinkFailures   = metrics.Default().Counter("ring_link_failures_total", "transport link failures observed by ring nodes")
 	mLinkRecoveries = metrics.Default().Counter("ring_link_recoveries_total", "links re-established by revolution-level recovery")
 	mRedials        = metrics.Default().Counter("ring_link_redials_total", "re-dial attempts during link recovery")
 	mRerouted       = metrics.Default().Counter("ring_frames_rerouted_total", "retained frames re-routed over a recovered link")

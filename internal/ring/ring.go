@@ -109,8 +109,6 @@ type Config struct {
 	// BufferBytes is the registered size of each buffer element and thus
 	// the maximum encoded fragment size. Zero means DefaultBufferBytes.
 	BufferBytes int
-	// Tracer receives runtime events (nil disables tracing).
-	Tracer trace.Tracer
 	// Flight is the span recorder for the flight recorder. Nil means the
 	// process-wide trace.Flight() (which records nothing unless enabled).
 	// Recording must be enabled before New: nodes take their shards at
@@ -143,14 +141,6 @@ type Config struct {
 	// (relation.PartitionByBytes) and is surfaced via the
 	// ring_autotune_chunk_bytes gauge and PhaseAutotune trace points.
 	Autotune *Autotuner
-}
-
-// tracer returns the effective tracer.
-func (c Config) tracer() trace.Tracer {
-	if c.Tracer == nil {
-		return trace.Nop{}
-	}
-	return c.Tracer
 }
 
 // flightRecorder returns the effective span recorder.
@@ -189,7 +179,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// NodeStats snapshots one node's counters after (or during) a run.
+// NodeStats snapshots one node's counters after (or during) a run. The
+// counts are the ring's own, read from its registry scope: another ring in
+// the same process never moves them. They accumulate per ring position,
+// across runs and across ReplaceNode, so a replaced node's position keeps
+// counting where its predecessor stopped.
 type NodeStats struct {
 	// Processed counts fragments handled by the join entity.
 	Processed int
@@ -237,6 +231,10 @@ type Ring struct {
 	quit chan struct{}
 	// frelink records PhaseRelink recovery spans on its own track.
 	frelink *trace.Shard
+	// reg is the ring's child scope of metrics.Default(): every node
+	// instrument lives here, so this ring's counters are its own. Close
+	// folds it back into the process registry.
+	reg *metrics.Registry
 
 	mu     sync.Mutex
 	closed bool
@@ -261,17 +259,18 @@ func New(cfg Config, links LinkFactory, procs []Processor) (*Ring, error) {
 		errc:    make(chan error, cfg.Nodes*4),
 		quit:    make(chan struct{}),
 		frelink: cfg.flightRecorder().Shard(trace.NodeTransport, "ring/recovery"),
+		reg:     metrics.Default().Child(),
 		nodes:   make([]*node, cfg.Nodes),
 	}
 	for i := range r.nodes {
-		r.nodes[i] = newNode(i, cfg, procs[i], r.retired, r.errc)
+		r.nodes[i] = newNode(i, cfg, r.reg, procs[i], r.retired, r.errc)
 	}
 	// Wire links: out of i → in of i+1.
 	for i := range r.nodes {
 		next := (i + 1) % cfg.Nodes
 		src, dst, err := links(i, next)
 		if err != nil {
-			r.closeNodes()
+			_ = r.Close()
 			return nil, fmt.Errorf("ring: link %d→%d: %w", i, next, err)
 		}
 		r.nodes[i].out = src
@@ -396,7 +395,7 @@ func (r *Ring) Run(perNode [][]*relation.Fragment) error {
 				// endpoint reporting, or a queued duplicate).
 				continue
 			}
-			mLinkFailures.Inc()
+			r.nodes[lf.le.From].m.linkFailures.Inc()
 			if retries == nil {
 				retries = make(map[int]*linkRetry)
 			}
@@ -466,7 +465,7 @@ func (r *Ring) ReplaceNode(i int, proc Processor) error {
 		return fmt.Errorf("ring: replace node %d of %d", i, len(r.nodes))
 	}
 	old := r.nodes[i]
-	n := newNode(i, r.cfg, proc, r.retired, r.errc)
+	n := newNode(i, r.cfg, r.reg, proc, r.retired, r.errc)
 
 	if r.cfg.Nodes == 1 {
 		old.stop()
@@ -519,14 +518,11 @@ func (r *Ring) Close() error {
 	}
 	r.closed = true
 	close(r.quit)
-	r.closeNodes()
-	return nil
-}
-
-func (r *Ring) closeNodes() {
 	for _, n := range r.nodes {
 		if n != nil {
 			n.stop()
 		}
 	}
+	r.reg.Close()
+	return nil
 }

@@ -305,6 +305,11 @@ func TestReplaceNode(t *testing.T) {
 			}
 		}
 	}
+	// Stats count per ring position: the replaced position keeps
+	// accumulating across the replacement.
+	if got := r.Stats()[1].Processed; got != 2*nodes {
+		t.Errorf("position 1 processed %d across both runs, want %d", got, 2*nodes)
+	}
 }
 
 func TestReplaceNodeSingleNodeRing(t *testing.T) {

@@ -361,7 +361,7 @@ func (n *node) sendLoopWrites(qp rdma.WriteQueuePair, stop chan struct{}, credit
 				return
 			case key = <-credits:
 			}
-			n.stats.stallNs.Add(time.Since(stallStart).Nanoseconds())
+			n.m.stallNs.Add(time.Since(stallStart).Nanoseconds())
 			n.fsend.End(cs)
 		}
 		spd := n.fsend.Begin(trace.PhaseSend)
@@ -375,14 +375,7 @@ func (n *node) sendLoopWrites(qp rdma.WriteQueuePair, stop chan struct{}, credit
 			n.failLink(stop, true, qp, fmt.Errorf("ring: node %d: post write: %w", n.id, err))
 			return
 		}
-		n.stats.bytesOut.Add(int64(sz))
 		n.m.bytesOut.Add(int64(sz))
-		if n.trOn {
-			n.tr.Record(trace.Event{
-				Time: time.Now(), Node: n.id, Kind: trace.FragmentSent,
-				Fragment: ob.index, Hops: ob.hops, Bytes: sz,
-			})
-		}
 	}
 }
 

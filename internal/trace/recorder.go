@@ -1,3 +1,10 @@
+// Package trace records what the Data Roundabout runtime did, and when:
+// the flight recorder captures spans from every node's receiver, join
+// entity and transmitter, from the transports and from the local join
+// algorithms. The analyzer (Analyze) turns a recording into per-phase cost
+// breakdowns, the attribution model (Attribute) names the node the ring
+// waits on — shared with the live health sampler — and WritePerfetto
+// exports a recording for ui.perfetto.dev and cyclotrace.
 package trace
 
 import (
@@ -7,12 +14,11 @@ import (
 	"time"
 )
 
-// The flight recorder is the span-level layer of the trace package: where
-// Buffer keeps a handful of coarse ring events, the Recorder captures
-// begin/end span pairs from every layer of the stack — ring entities
-// (receive/wait/join/stage/send), the transports (work-request post →
-// completion, credit stalls) and the local join algorithms (build/probe,
-// sort/merge) — cheaply enough to stay on in production.
+// The flight recorder captures begin/end span pairs from every layer of
+// the stack — ring entities (receive/wait/join/stage/send), the transports
+// (work-request post → completion, credit stalls) and the local join
+// algorithms (build/probe, sort/merge) — cheaply enough to stay on in
+// production.
 //
 // Design constraints, in order:
 //
