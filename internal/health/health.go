@@ -245,9 +245,9 @@ type Sampler struct {
 	scratch  []ring.NodeHealth
 	prevTime time.Time
 	states   map[int]*nodeState
-	lastKind   VerdictKind
-	profile    []byte
-	profBusy   bool
+	lastKind VerdictKind
+	profile  []byte
+	profBusy bool
 
 	startOnce, stopOnce sync.Once
 	stop                chan struct{}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"cyclojoin/internal/relation"
 	"cyclojoin/internal/trace"
 )
 
@@ -148,5 +149,88 @@ func TestFlightRecorderDisabledByDefault(t *testing.T) {
 	}
 	if after := len(trace.Flight().Snapshot()); after != before {
 		t.Fatalf("untraced run recorded %d spans", after-before)
+	}
+}
+
+// TestTraceEvents runs a recorded revolution with trivially fast
+// processors and checks the per-fragment event algebra: each fragment is
+// joined once per node, at hops 0..nodes-1 in ring order starting at its
+// origin, received at every node but its origin, and retired exactly once
+// after its last join.
+func TestTraceEvents(t *testing.T) {
+	const nodes = 3
+	rec := trace.NewRecorder(trace.DefaultShardCap)
+	procs := make([]Processor, nodes)
+	for i := range procs {
+		procs[i] = ProcessorFunc(func(f *relation.Fragment) error { return nil })
+	}
+	r, err := New(Config{Nodes: nodes, Flight: rec}, nil, procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		_ = r.Close()
+	}()
+	frags := buildFrags(t, nodes, 300)
+	if err := r.Run(perNode(frags)); err != nil {
+		t.Fatal(err)
+	}
+	awaitSpanCount(rec, trace.PhaseSend, nodes*(nodes-1))
+
+	counts := make(map[trace.Phase]int)
+	type visit struct{ frag, hop int32 }
+	joins := make(map[visit]trace.Span)
+	retired := make(map[int32]trace.Span)
+	for _, sp := range rec.Snapshot() {
+		counts[sp.Phase]++
+		switch sp.Phase {
+		case trace.PhaseJoin:
+			k := visit{sp.Frag, sp.Hop}
+			if _, dup := joins[k]; dup {
+				t.Fatalf("fragment %d joined twice at hop %d", sp.Frag, sp.Hop)
+			}
+			joins[k] = sp
+		case trace.PhaseReceive:
+			if sp.Node == sp.Frag {
+				t.Errorf("fragment %d received back at its origin", sp.Frag)
+			}
+		case trace.PhaseRetire:
+			if _, dup := retired[sp.Frag]; dup {
+				t.Fatalf("fragment %d retired twice", sp.Frag)
+			}
+			retired[sp.Frag] = sp
+		}
+	}
+	if got, want := counts[trace.PhaseJoin], nodes*nodes; got != want {
+		t.Errorf("join spans = %d, want %d", got, want)
+	}
+	if got, want := counts[trace.PhaseReceive], nodes*(nodes-1); got != want {
+		t.Errorf("receive spans = %d, want %d", got, want)
+	}
+	if got, want := counts[trace.PhaseSend], nodes*(nodes-1); got < want-nodes || got > want {
+		t.Errorf("send spans = %d, want %d (±%d reaper slack)", got, want, nodes)
+	}
+	for f := int32(0); f < nodes; f++ {
+		var prev trace.Span
+		for h := int32(0); h < nodes; h++ {
+			sp, ok := joins[visit{f, h}]
+			if !ok {
+				t.Fatalf("fragment %d never joined at hop %d", f, h)
+			}
+			if want := (f + h) % nodes; sp.Node != want {
+				t.Errorf("fragment %d hop %d joined at node %d, want %d", f, h, sp.Node, want)
+			}
+			if h > 0 && sp.Start < prev.End() {
+				t.Errorf("fragment %d: hop %d join starts before hop %d ends", f, h, h-1)
+			}
+			prev = sp
+		}
+		ret, ok := retired[f]
+		if !ok {
+			t.Fatalf("fragment %d never retired", f)
+		}
+		if ret.Hop != nodes || ret.Start < prev.End() {
+			t.Errorf("fragment %d retirement %+v, want hop %d after its last join", f, ret, nodes)
+		}
 	}
 }

@@ -386,14 +386,17 @@ func (r *Ring) Run(perNode [][]*relation.Fragment) error {
 			return ErrClosed
 		case err := <-r.errc:
 			var lf *linkFailure
-			if !errors.As(err, &lf) || !r.recoverable() {
+			isLink := errors.As(err, &lf)
+			if isLink && r.stale(lf) {
+				// An echo of an endpoint the ring no longer uses: the
+				// second endpoint of a recovered link reporting, a queued
+				// duplicate, or a replaced node's receiver seeing its
+				// upstream close during ReplaceNode.
+				continue
+			}
+			if !isLink || !r.recoverable() {
 				_ = r.Close()
 				return fmt.Errorf("ring: run aborted: %w", err)
-			}
-			if r.stale(lf) {
-				// An echo of an already-recovered failure (the second
-				// endpoint reporting, or a queued duplicate).
-				continue
 			}
 			r.nodes[lf.le.From].m.linkFailures.Inc()
 			if retries == nil {
