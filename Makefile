@@ -10,7 +10,7 @@ GO ?= go
 # of quietly taxing every CI run.
 LINT_BUDGET ?= 60s
 
-.PHONY: check build vet layering lint cyclolint lint-sarif lint-stats lint-fix-clean test race chaos chaos-fuzz bench-metrics bench-ring bench-smoke perfbench-test bench-trace smoke-trace smoke-health
+.PHONY: check build vet layering lint cyclolint lint-sarif lint-stats lint-fix-clean test race stress chaos chaos-fuzz bench-metrics bench-ring bench-smoke perfbench-test bench-trace smoke-trace smoke-health
 
 check: build vet layering lint race chaos
 
@@ -97,6 +97,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# stress reruns the concurrency-heavy packages under the race detector,
+# 20 times at each of 1, 2 and 4 Ps, so a flaky test shows up in the
+# change that introduces it rather than in a later unrelated run. CI runs
+# it as its own job. The timeout covers the repetitions, not one test.
+STRESS_PKGS = ./internal/ring/ ./internal/core/ ./internal/health/ ./internal/rdma/... ./internal/join/...
+stress:
+	$(GO) test -race -count=20 -cpu 1,2,4 -timeout 60m $(STRESS_PKGS)
 
 # chaos is the fault-injection e2e tier: the seeded cyclobench scenario
 # suite (drop, flap, corrupt doorbell, jitter+reorder, slow node,

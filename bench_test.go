@@ -316,32 +316,33 @@ func BenchmarkAblationFragmentSize(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRadixBits sweeps the radix fan-out of the real hash
-// join: too few partitions overflow the cache, too many thrash during
-// clustering.
-func BenchmarkAblationRadixBits(b *testing.B) {
-	r, err := workload.Generate(workload.Spec{Name: "R", Tuples: 1_000_000, KeyDomain: 1_000_000, Seed: 5, PayloadWidth: 4})
+// BenchmarkAblationClusteredProbe probes one node's stationary table
+// (250k tuples) with a 250k-tuple rotating fragment in arrival order and
+// as SetupRotating ships it, clustered on the table's hash prefix: the
+// per-hop saving that the one-off clustering buys.
+func BenchmarkAblationClusteredProbe(b *testing.B) {
+	r, err := workload.Generate(workload.Spec{Name: "R", Tuples: 250_000, KeyDomain: 1_000_000, Seed: 5, PayloadWidth: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := workload.Generate(workload.Spec{Name: "S", Tuples: 1_000_000, KeyDomain: 1_000_000, Seed: 6, PayloadWidth: 4})
+	s, err := workload.Generate(workload.Spec{Name: "S", Tuples: 250_000, KeyDomain: 1_000_000, Seed: 6, PayloadWidth: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, bits := range []int{0, 4, 8, 12} {
-		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
-			opts := join.Options{RadixBits: bits}
-			st, err := (hashjoin.Join{}).SetupStationary(s, join.Equi{}, opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var c join.Counter
-				if err := st.Join(r, &c); err != nil {
-					b.Fatal(err)
-				}
-			}
+	st, err := (hashjoin.Join{}).SetupStationary(s, join.Equi{}, join.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	clustered, err := (hashjoin.Join{}).SetupRotating(r, join.Equi{}, join.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		r    *relation.Relation
+	}{{"arrival", r}, {"clustered", clustered}} {
+		b.Run(c.name, func(b *testing.B) {
+			benchProbe(b, st, c.r)
 		})
 	}
 }
@@ -370,21 +371,36 @@ func BenchmarkHashJoinSetup(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.Len()), "ns/tuple")
 }
 
+// BenchmarkHashJoinProbe is the join phase the ring runs: R as
+// SetupRotating ships it, counted as core's default collector does.
 func BenchmarkHashJoinProbe(b *testing.B) {
 	r, s := benchRelations(b, 1_000_000)
 	st, err := (hashjoin.Join{}).SetupStationary(s, join.Equi{}, join.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	rot, err := (hashjoin.Join{}).SetupRotating(r, join.Equi{}, join.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchProbe(b, st, rot)
+}
+
+// benchProbe times st.Join(r) into a join.Counter and reports ns per R
+// tuple.
+func benchProbe(b *testing.B, st join.Stationary, r *relation.Relation) {
 	b.SetBytes(int64(r.Bytes()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := st.Join(r, join.Discard{}); err != nil {
+		var c join.Counter
+		if err := st.Join(r, &c); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(r.Len()), "ns/tuple")
 }
 
 func BenchmarkSortMergeSetup(b *testing.B) {

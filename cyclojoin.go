@@ -7,7 +7,7 @@
 //
 //   - relations and workload generators (internal/relation,
 //     internal/workload);
-//   - local join algorithms — radix-partitioned hash join, sort-merge
+//   - local join algorithms — hash join over bucket-ordered tables, sort-merge
 //     join with band-join support, nested loops (internal/join/...);
 //   - the RDMA-verbs-shaped transport with in-process and TCP wire
 //     implementations plus a kernel-TCP baseline (internal/rdma,
@@ -150,7 +150,9 @@ func SequentialRelation(name string, tuples, payloadWidth int) *Relation {
 // Partition splits a relation into n fragments in input order.
 func Partition(r *Relation, n int) ([]*Fragment, error) { return relation.Partition(r, n) }
 
-// HashJoin returns the radix-partitioned hash join of [22] (equi-joins).
+// HashJoin returns the hash join (equi-joins): one hash-bucket-ordered
+// table per stationary fragment, probed by rotating fragments shipped
+// clustered on the table's hash prefix.
 func HashJoin() Algorithm { return hashjoin.Join{} }
 
 // SortMergeJoin returns the sort-merge join (equi- and band joins).

@@ -1,7 +1,7 @@
 // Quickstart: a distributed equi-join on a four-host Data Roundabout.
 //
 // Two million-tuple relations are generated, spread evenly across the ring
-// hosts, and joined with the radix-partitioned hash join: S stays
+// hosts, and joined with the hash join: S stays
 // stationary, R's fragments circulate, and after one revolution the union
 // of the per-host results is the complete join.
 //

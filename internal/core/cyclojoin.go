@@ -10,7 +10,7 @@
 //
 //   - Station runs the setup phase: in parallel on every host, build the
 //     access structure over S_i (hash tables / sorted runs) and reorganize
-//     the local rotating fragments (radix-clustering / sorting). Because
+//     the local rotating fragments (hash-clustering / sorting). Because
 //     the reorganized fragments travel the ring, this work is invested
 //     once and amortized over every hop (§IV-D).
 //   - Rotate runs the join phase: one full revolution of the rotating

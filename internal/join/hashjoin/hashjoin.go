@@ -1,19 +1,26 @@
-// Package hashjoin implements the radix-partitioned hash join of Manegold,
-// Boncz and Kersten [22] that the paper ports from MonetDB (§IV-C.1).
+// Package hashjoin implements the hash join that the paper ports from
+// MonetDB (§IV-C.1), laid out so that every ring hop probes cache-resident
+// data.
 //
 // The algorithm runs in the two phases cyclo-join expects:
 //
-//   - setup: radix-cluster the stationary fragment S_i into 2^bits
-//     partitions by a hash of the join key, sized so that one partition
-//     plus its hash table fits into the L2 cache, then build a
-//     bucket-chained hash table per partition;
-//   - join: for each tuple of the rotating fragment R_j, locate its
-//     partition and probe that partition's hash table. Because the
-//     partition fits in L2, all probes for a partition are cache-resident.
+//   - setup: order the stationary fragment S_i by the top tb bits of the
+//     join key's hash, with 2^tb ≥ 2|S_i|, and keep one offset per bucket.
+//     The key and payload columns in bucket order plus the offsets are the
+//     whole hash table: a bucket is a contiguous run, with no chains.
+//   - join: hash each tuple of the rotating fragment R_j once, read its
+//     bucket's bounds and scan the bucket's keys. Payloads are read only
+//     for matches.
 //
-// The join phase is embarrassingly parallel across disjoint partitions; we
-// run it on Options.Parallelism goroutines exactly as the paper runs it on
-// the four cores of its Xeons.
+// SetupRotating scatters a rotating fragment once, before its first hop,
+// on the top clusterBits bits of the same hash. Those bits are a prefix of
+// every table's bucket bits, whatever the size of S_i, so each R cluster
+// probes one contiguous 1/256 window of the table, and the window stays in
+// cache while the cluster is probed. This is the paper's §IV-D trade: ship
+// reorganized data to save CPU on every hop.
+//
+// The join phase splits R across Options.Parallelism goroutines, as the
+// paper runs it on the four cores of its Xeons.
 package hashjoin
 
 import (
@@ -27,8 +34,19 @@ import (
 	"cyclojoin/internal/trace"
 )
 
-// Join implements join.Algorithm with a radix-partitioned hash join.
-// The zero value is ready to use.
+// clusterBits is the width of the hash prefix SetupRotating clusters R on
+// and the build's first scatter orders S on.
+const clusterBits = 8
+
+// clusters is the number of hash-prefix clusters.
+const clusters = 1 << clusterBits
+
+// minPerWorker is the number of tuples per goroutine below which the
+// setup passes run on fewer goroutines.
+const minPerWorker = 8192
+
+// Join implements join.Algorithm with a hash join over a bucket-ordered
+// table. The zero value is ready to use.
 type Join struct{}
 
 var _ join.Algorithm = Join{}
@@ -43,8 +61,8 @@ func (Join) Supports(p join.Predicate) bool {
 	return ok
 }
 
-// SetupStationary implements join.Algorithm: radix-cluster s and build the
-// per-partition hash tables.
+// SetupStationary implements join.Algorithm: build s's bucket-ordered
+// table.
 func (j Join) SetupStationary(s *relation.Relation, p join.Predicate, opts join.Options) (join.Stationary, error) {
 	if !j.Supports(p) {
 		return nil, fmt.Errorf("%w: hash join cannot evaluate %s", join.ErrUnsupportedPredicate, p)
@@ -53,12 +71,8 @@ func (j Join) SetupStationary(s *relation.Relation, p join.Predicate, opts join.
 	bs := fl.Shard(opts.TraceNode, "join/build")
 	bpd := bs.Begin(trace.PhaseBuild)
 	bpd.Arg = int64(s.Len())
-	b := RadixBits(s.Bytes(), opts)
-	st := &stationary{bits: b, opts: opts, payWidth: s.Schema().PayloadWidth}
-	st.parts = parallelCluster(s, b, opts.Workers())
-	for i := range st.parts {
-		st.parts[i].buildTable(b)
-	}
+	st := build(s, opts.Workers())
+	st.opts = opts
 	// One probe track per worker: Join runs the probe phase concurrently
 	// and shards are single-producer.
 	st.probeShards = make([]*trace.Shard, opts.Workers())
@@ -69,35 +83,26 @@ func (j Join) SetupStationary(s *relation.Relation, p join.Predicate, opts join.
 	return st, nil
 }
 
-// SetupRotating implements join.Algorithm: radix-cluster the rotating
-// fragment so that the join phase scans it partition-by-partition with
-// cache-friendly locality. The clustering is purely an optimization — the
-// probe is order-independent — which is why a fragment clustered with a
-// different fan-out than the stationary side still joins correctly.
+// SetupRotating implements join.Algorithm: order the rotating fragment by
+// hash cluster, so that the join phase probes the table one window at a
+// time. The order is purely an optimization — the probe is
+// order-independent. Fragments too small to leave the cache are returned
+// unchanged.
 func (Join) SetupRotating(r *relation.Relation, p join.Predicate, opts join.Options) (*relation.Relation, error) {
 	if _, ok := p.(join.Equi); !ok {
 		return nil, fmt.Errorf("%w: hash join cannot evaluate %s", join.ErrUnsupportedPredicate, p)
 	}
-	b := RadixBits(r.Bytes(), opts)
-	if b == 0 {
+	if RadixBits(r.Bytes(), opts) == 0 {
 		return r, nil
 	}
-	parts := parallelCluster(r, b, opts.Workers())
-	out := relation.New(r.Schema(), r.Len())
-	for i := range parts {
-		pt := &parts[i]
-		for t := range pt.keys {
-			if err := out.Append(pt.keys[t], pt.payload(t)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
+	keys, pay, _ := clusterCopy(r.Keys(), r.PayloadColumn(), r.Schema().PayloadWidth, opts.Workers())
+	return relation.Wrap(r.Schema(), keys, pay)
 }
 
-// RadixBits derives the radix fan-out: enough partitions that one stationary
-// partition plus its hash table (≈ 2× the partition's data volume) fits in a
-// quarter of the L2 cache, following the sizing rule of [22].
+// RadixBits is the radix fan-out of [22]'s sizing rule: enough partitions
+// that one partition plus its hash table (≈ 2× the partition's data
+// volume) fits in a quarter of the L2 cache. Zero means the data already
+// fits, which is when SetupRotating leaves a fragment unclustered.
 func RadixBits(dataBytes int, opts join.Options) int {
 	target := opts.L2Bytes() / 4
 	if target <= 0 {
@@ -115,189 +120,242 @@ func RadixBits(dataBytes int, opts join.Options) int {
 	return b
 }
 
-// partition is one radix-clustered piece of the stationary fragment plus its
-// bucket-chained hash table.
-type partition struct {
+// stationary is the prepared stationary fragment: its tuples in bucket
+// order plus the bucket offsets. Every field is written by
+// SetupStationary and read-only once Join's probe workers start; the
+// setup-then-join contract is the happens-before edge.
+type stationary struct {
+	// shift selects a key's bucket: HashKey(key) >> shift.
+	shift uint
+	// off holds 2^tb+1 offsets: bucket b is keys[off[b]:off[b+1]].
+	off  []int32
 	keys []uint64
 	pay  []byte
 	payW int
-	// head/next/mask are written once by buildTable during
-	// SetupStationary and read-only by the probe workers Join launches
-	// later; the setup-then-join contract is the happens-before edge.
-
-	// head holds, per hash bucket, 1+index of the chain head (0 = empty).
-	//
-	//cyclolint:sharesafe built during SetupStationary, read-only once Join's probe workers start
-	head []int32
-	// next holds, per tuple, 1+index of the next tuple in its chain.
-	//
-	//cyclolint:sharesafe built during SetupStationary, read-only once Join's probe workers start
-	next []int32
-	//cyclolint:sharesafe built during SetupStationary, read-only once Join's probe workers start
-	mask uint64
-}
-
-func (pt *partition) payload(i int) []byte {
-	if pt.payW == 0 {
-		return nil
-	}
-	return pt.pay[i*pt.payW : (i+1)*pt.payW]
-}
-
-// bucketOf selects a radix partition from the *low* bits of the key hash.
-func bucketOf(key uint64, radixBits int) uint64 {
-	if radixBits == 0 {
-		return 0
-	}
-	return relation.HashKey(key) & ((1 << radixBits) - 1)
-}
-
-// cluster distributes r's tuples into 2^radixBits partitions via a counting
-// sort (two scans, no per-tuple allocation).
-func cluster(r *relation.Relation, radixBits int) []partition {
-	n := 1 << radixBits
-	payW := r.Schema().PayloadWidth
-	counts := make([]int, n)
-	for i := 0; i < r.Len(); i++ {
-		counts[bucketOf(r.Key(i), radixBits)]++
-	}
-	parts := make([]partition, n)
-	for p := range parts {
-		parts[p] = partition{
-			keys: make([]uint64, 0, counts[p]),
-			pay:  make([]byte, 0, counts[p]*payW),
-			payW: payW,
-		}
-	}
-	for i := 0; i < r.Len(); i++ {
-		p := &parts[bucketOf(r.Key(i), radixBits)]
-		p.keys = append(p.keys, r.Key(i))
-		p.pay = append(p.pay, r.Payload(i)...)
-	}
-	return parts
-}
-
-// buildTable constructs the bucket-chained hash table over the partition.
-// The in-partition hash uses the bits *above* the radix bits so that the
-// radix split and the table lookup draw on independent parts of the hash.
-func (pt *partition) buildTable(radixBits int) {
-	n := len(pt.keys)
-	if n == 0 {
-		return
-	}
-	size := 1
-	for size < 2*n {
-		size <<= 1
-	}
-	pt.mask = uint64(size - 1)
-	pt.head = make([]int32, size)
-	pt.next = make([]int32, n)
-	for i := 0; i < n; i++ {
-		b := (relation.HashKey(pt.keys[i]) >> radixBits) & pt.mask
-		pt.next[i] = pt.head[b]
-		pt.head[b] = int32(i + 1)
-	}
-}
-
-// probe emits all matches of key/pay against the partition's table.
-func (pt *partition) probe(key uint64, rPay []byte, radixBits int, c join.Collector) {
-	if len(pt.keys) == 0 {
-		return
-	}
-	b := (relation.HashKey(key) >> radixBits) & pt.mask
-	for e := pt.head[b]; e != 0; e = pt.next[e-1] {
-		i := int(e - 1)
-		if pt.keys[i] == key {
-			c.Emit(key, key, rPay, pt.payload(i))
-		}
-	}
-}
-
-// stationary is the prepared stationary fragment.
-type stationary struct {
-	bits     int
-	parts    []partition
-	opts     join.Options
-	payWidth int
+	opts join.Options
 	// probeShards records per-worker probe spans (index = worker).
 	probeShards []*trace.Shard
 }
 
 var _ join.Stationary = (*stationary)(nil)
 
-// Bytes implements join.Stationary: the clustered copy plus table arrays.
-func (st *stationary) Bytes() int {
-	total := 0
-	for i := range st.parts {
-		pt := &st.parts[i]
-		total += len(pt.keys)*8 + len(pt.pay) + len(pt.head)*4 + len(pt.next)*4
+// bucketBits is tb for a share of n tuples: the least tb ≥ clusterBits
+// with 2^tb ≥ 2n.
+func bucketBits(n int) int {
+	return max(clusterBits, bits.Len(uint(max(2*n-1, 0))))
+}
+
+// build orders s's tuples by bucket. A first scatter orders them by hash
+// cluster; each cluster is then counting-sorted on its remaining bucket
+// bits, with its own window of off as the histogram, so that pass stays in
+// cache. Clusters are sorted by disjoint sets of workers.
+func build(s *relation.Relation, workers int) *stationary {
+	w := s.Schema().PayloadWidth
+	tb := bucketBits(s.Len())
+	keys, pay, bounds := clusterCopy(s.Keys(), s.PayloadColumn(), w, workers)
+	st := &stationary{shift: uint(64 - tb), off: make([]int32, 1<<tb+1), keys: keys, pay: pay, payW: w}
+	sortRange := func(lo, hi int) {
+		largest := 0
+		for c := lo; c < hi; c++ {
+			largest = max(largest, bounds[c+1]-bounds[c])
+		}
+		scratchKeys, scratchPay := make([]uint64, largest), make([]byte, largest*w)
+		for c := lo; c < hi; c++ {
+			st.sortCluster(c, bounds[c], bounds[c+1], tb, scratchKeys, scratchPay)
+		}
 	}
-	return total
+	n := len(keys)
+	workers = max(min(workers, n/minPerWorker), 1)
+	// Worker i sorts clusters [cuts[i], cuts[i+1]): those that start
+	// before its share of the tuples ends. The last worker also takes
+	// trailing empty clusters, whose offsets must be filled too.
+	cuts := make([]int, workers+1)
+	for i := 1; i < workers; i++ {
+		c := cuts[i-1]
+		for c < clusters && bounds[c] < n*i/workers {
+			c++
+		}
+		cuts[i] = c
+	}
+	cuts[workers] = clusters
+	each(workers, func(i int) { sortRange(cuts[i], cuts[i+1]) })
+	return st
+}
+
+// sortCluster orders cluster c, tuples [s, e), by bucket and fills its
+// buckets' offsets. It writes off[b+1] for the cluster's buckets b only,
+// so clusters sort independently; off[lo] is the previous cluster's end.
+func (st *stationary) sortCluster(c, s, e, tb int, scratchKeys []uint64, scratchPay []byte) {
+	w := st.payW
+	lo, hi := c<<(tb-clusterBits), (c+1)<<(tb-clusterBits)
+	// cursor[b] is off[b+1]: it starts at bucket b's first slot and ends
+	// at its last slot plus one, which is off[b+1]'s meaning.
+	cursor := st.off[1:]
+	if hi-lo == 1 {
+		// The cluster is a single bucket, already in place.
+		cursor[lo] = int32(e)
+		return
+	}
+	count(st.keys[s:e], st.shift, cursor)
+	sum := int32(s)
+	for b := lo; b < hi; b++ {
+		cursor[b], sum = sum, sum+cursor[b]
+	}
+	sk, sp := scratchKeys[:e-s], scratchPay[:(e-s)*w]
+	copy(sk, st.keys[s:e])
+	copy(sp, st.pay[s*w:e*w])
+	scatter(sk, sp, st.keys, st.pay, w, st.shift, cursor)
+}
+
+// clusterCopy copies keys and their payload blocks of width w into new
+// columns ordered by hash cluster, and returns the columns and the cluster
+// bounds: cluster c is [bounds[c], bounds[c+1]). Within a cluster tuples
+// keep their input order. Workers count and then scatter contiguous input
+// ranges, each with its own histogram, so the result is the same for any
+// worker count.
+func clusterCopy(keys []uint64, pay []byte, w, workers int) ([]uint64, []byte, [clusters + 1]int) {
+	n := len(keys)
+	workers = max(min(workers, n/minPerWorker), 1)
+	hist := make([][clusters]int32, workers)
+	shift := uint(64 - clusterBits)
+	each(workers, func(i int) {
+		lo, hi := n*i/workers, n*(i+1)/workers
+		count(keys[lo:hi], shift, hist[i][:])
+	})
+	// Exclusive prefix sums: hist[i][c] becomes where worker i writes its
+	// first tuple of cluster c.
+	var bounds [clusters + 1]int
+	sum := int32(0)
+	for c := 0; c < clusters; c++ {
+		bounds[c] = int(sum)
+		for i := range hist {
+			hist[i][c], sum = sum, sum+hist[i][c]
+		}
+	}
+	bounds[clusters] = n
+	outKeys, outPay := make([]uint64, n), make([]byte, len(pay))
+	each(workers, func(i int) {
+		lo, hi := n*i/workers, n*(i+1)/workers
+		scatter(keys[lo:hi], pay[lo*w:hi*w], outKeys, outPay, w, shift, hist[i][:])
+	})
+	return outKeys, outPay, bounds
+}
+
+// each runs f(0), …, f(workers-1), concurrently when workers > 1.
+func each(workers int, f func(i int)) {
+	if workers == 1 {
+		f(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			f(i)
+		}(i)
+	}
+	wg.Wait()
+}
+
+// count adds one to cnt[HashKey(k)>>shift] for every key.
+//
+//cyclolint:hotpath
+func count(keys []uint64, shift uint, cnt []int32) {
+	for _, k := range keys {
+		cnt[relation.HashKey(k)>>shift]++
+	}
+}
+
+// scatter moves each key to slot off[HashKey(key)>>shift] of dstKeys,
+// which then advances, and its payload block of width w to the same slot
+// of dstPay. The paper's 12-byte tuple moves its payload as a fixed-size
+// block instead of one copy call per tuple.
+//
+//cyclolint:hotpath
+func scatter(keys []uint64, pay []byte, dstKeys []uint64, dstPay []byte, w int, shift uint, off []int32) {
+	switch w {
+	case 0:
+		for _, k := range keys {
+			b := relation.HashKey(k) >> shift
+			dstKeys[off[b]] = k
+			off[b]++
+		}
+	case 4:
+		for i, k := range keys {
+			b := relation.HashKey(k) >> shift
+			j := off[b]
+			off[b] = j + 1
+			dstKeys[j] = k
+			*(*[4]byte)(dstPay[4*j:]) = *(*[4]byte)(pay[4*i:])
+		}
+	default:
+		for i, k := range keys {
+			b := relation.HashKey(k) >> shift
+			j := int(off[b])
+			off[b]++
+			dstKeys[j] = k
+			copy(dstPay[j*w:(j+1)*w], pay[i*w:(i+1)*w])
+		}
+	}
+}
+
+// Bytes implements join.Stationary: the ordered columns plus the offsets.
+func (st *stationary) Bytes() int {
+	return len(st.keys)*8 + len(st.pay) + len(st.off)*4
 }
 
 // Join implements join.Stationary: probe every tuple of r against its
-// partition's hash table, splitting r across Options.Parallelism workers.
+// bucket, splitting r across Options.Parallelism workers. Contiguous
+// ranges of a clustered r keep each worker's probes inside a few table
+// windows.
 func (st *stationary) Join(r *relation.Relation, c join.Collector) error {
-	workers := st.opts.Workers()
 	n := r.Len()
 	if n == 0 {
 		return nil
 	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(st.opts.Workers(), n)
+	rc := join.Runs(c)
 	if workers == 1 {
-		st.joinRange(r, 0, n, 0, c)
+		// Called once per hop: no closure for each to allocate.
+		st.joinRange(r, 0, n, 0, rc)
 		return nil
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := n*w/workers, n*(w+1)/workers
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			st.joinRange(r, lo, hi, w, c)
-		}(w)
-	}
-	wg.Wait()
+	each(workers, func(w int) {
+		st.joinRange(r, n*w/workers, n*(w+1)/workers, w, rc)
+	})
 	return nil
 }
 
-func (st *stationary) joinRange(r *relation.Relation, lo, hi, worker int, c join.Collector) {
-	ps := st.probeShard(worker)
+func (st *stationary) joinRange(r *relation.Relation, lo, hi, worker int, rc join.RunCollector) {
+	ps := st.probeShards[worker]
 	pd := ps.Begin(trace.PhaseProbe)
 	pd.Arg = int64(hi - lo)
-	for i := lo; i < hi; i++ {
-		k := r.Key(i)
-		pt := &st.parts[bucketOf(k, st.bits)]
-		pt.probe(k, r.Payload(i), st.bits, c)
-	}
+	st.probe(r, lo, hi, rc)
 	ps.End(pd)
 }
 
-// probeShard returns the worker's probe track, tolerating a stationary
-// built outside SetupStationary (tests construct the struct directly).
-func (st *stationary) probeShard(worker int) *trace.Shard {
-	if worker < len(st.probeShards) && st.probeShards[worker] != nil {
-		return st.probeShards[worker]
-	}
-	return trace.NopShard()
-}
-
-// Partitions exposes the number of radix partitions, for tests and the
-// ablation benchmarks.
-func (st *stationary) Partitions() int { return len(st.parts) }
-
-// MaxPartitionBytes returns the data volume of the largest partition —
-// the quantity that must stay under the L2 budget for the cache-resident
-// probe argument of §V-D to hold.
-func (st *stationary) MaxPartitionBytes() int {
-	maxB := 0
-	for i := range st.parts {
-		b := len(st.parts[i].keys)*8 + len(st.parts[i].pay)
-		if b > maxB {
-			maxB = b
+// probe emits the matches of r's tuples [lo, hi). A bucket may mix keys
+// that share its hash bits, so each run of equal keys goes out as one
+// EmitRun.
+//
+//cyclolint:hotpath
+func (st *stationary) probe(r *relation.Relation, lo, hi int, rc join.RunCollector) {
+	keys, pay, off, w, shift := st.keys, st.pay, st.off, st.payW, st.shift
+	for i, k := range r.Keys()[lo:hi] {
+		b := relation.HashKey(k) >> shift
+		end := int(off[b+1])
+		for j := int(off[b]); j < end; j++ {
+			if keys[j] != k {
+				continue
+			}
+			e := j + 1
+			for e < end && keys[e] == k {
+				e++
+			}
+			rc.EmitRun(k, r.Payload(lo+i), keys[j:e], pay[j*w:e*w])
+			// keys[e], if in the bucket, is another key: skip it too.
+			j = e
 		}
 	}
-	return maxB
 }

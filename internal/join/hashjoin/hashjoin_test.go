@@ -1,7 +1,10 @@
 package hashjoin
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -114,33 +117,43 @@ func TestSetupRotatingPreservesMultiset(t *testing.T) {
 	}
 }
 
-// TestSetupRotatingClusters verifies the clustered layout: tuples of the
-// same radix bucket must be contiguous.
+// TestSetupRotatingClusters verifies the clustered layout: the hash
+// prefix that selects a table window never decreases along the shipped R.
 func TestSetupRotatingClusters(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	r := jointest.RandomRelation(rng, "R", 4096, 1024, 4)
-	opts := join.Options{L2CacheBytes: 1 << 10}
-	b := RadixBits(r.Bytes(), opts)
-	if b == 0 {
-		t.Fatal("test needs multi-partition clustering")
+	r := jointest.RandomRelation(rng, "R", 20_000, 1<<20, 4)
+	opts := join.Options{L2CacheBytes: 1 << 10, Parallelism: 3}
+	if RadixBits(r.Bytes(), opts) == 0 {
+		t.Fatal("test needs a fragment above the clustering threshold")
 	}
 	rot, err := Join{}.SetupRotating(r, join.Equi{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[uint64]bool{}
-	last := uint64(0)
-	started := false
+	prev := uint64(0)
 	for i := 0; i < rot.Len(); i++ {
-		bk := bucketOf(rot.Key(i), b)
-		if started && bk != last && seen[bk] {
-			t.Fatalf("bucket %d reappears at tuple %d: layout not clustered", bk, i)
+		c := relation.HashKey(rot.Key(i)) >> (64 - clusterBits)
+		if c < prev {
+			t.Fatalf("tuple %d: cluster %d after cluster %d: layout not clustered", i, c, prev)
 		}
-		if !started || bk != last {
-			seen[last] = true
-			last = bk
-			started = true
-		}
+		prev = c
+	}
+}
+
+// TestSmallFragmentShippedAsIs: a fragment below the clustering threshold
+// is returned as the same relation, not a copy.
+func TestSmallFragmentShippedAsIs(t *testing.T) {
+	r := workload.Sequential("R", 1000, 4)
+	opts := join.Options{}
+	if RadixBits(r.Bytes(), opts) != 0 {
+		t.Fatal("test needs a fragment below the clustering threshold")
+	}
+	rot, err := Join{}.SetupRotating(r, join.Equi{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rot != r {
+		t.Error("small fragment was copied")
 	}
 }
 
@@ -163,25 +176,41 @@ func TestRadixBits(t *testing.T) {
 	}
 }
 
-func TestStationaryPartitionsFitCache(t *testing.T) {
+// TestTableInvariants checks the built table for several share sizes:
+// the offsets are monotone and end at n, every key sits in its own
+// bucket, and the columns hold the share's tuples.
+func TestTableInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	s := jointest.RandomRelation(rng, "S", 20000, 1<<20, 4)
-	opts := join.Options{L2CacheBytes: 16 << 10}
-	stIface, err := Join{}.SetupStationary(s, join.Equi{}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, ok := stIface.(*stationary)
-	if !ok {
-		t.Fatal("unexpected stationary type")
-	}
-	if st.Partitions() < 2 {
-		t.Fatalf("expected multiple partitions, got %d", st.Partitions())
-	}
-	// Uniform keys: the largest partition should be near the L2/4 target.
-	// Allow 2× slack for hash variance.
-	if maxB := st.MaxPartitionBytes(); maxB > opts.L2Bytes()/2 {
-		t.Errorf("largest partition %d B exceeds half of L2 budget %d B", maxB, opts.L2Bytes())
+	for _, n := range []int{0, 1, 255, 256, 20_000, 40_000} {
+		s := jointest.RandomRelation(rng, "S", n, 1<<20, 4)
+		st := setup(t, s, join.Options{Parallelism: 2})
+		if got, want := len(st.off), 1<<bucketBits(n)+1; got != want {
+			t.Fatalf("n=%d: %d offsets, want %d", n, got, want)
+		}
+		if (1<<bucketBits(n)) < 2*n || bucketBits(n) < clusterBits {
+			t.Fatalf("n=%d: %d bucket bits are too few", n, bucketBits(n))
+		}
+		if st.off[0] != 0 || int(st.off[len(st.off)-1]) != n {
+			t.Fatalf("n=%d: offsets span [%d, %d]", n, st.off[0], st.off[len(st.off)-1])
+		}
+		for b := 0; b+1 < len(st.off); b++ {
+			if st.off[b] > st.off[b+1] {
+				t.Fatalf("n=%d: off[%d]=%d > off[%d]=%d", n, b, st.off[b], b+1, st.off[b+1])
+			}
+			for j := st.off[b]; j < st.off[b+1]; j++ {
+				if got := relation.HashKey(st.keys[j]) >> st.shift; got != uint64(b) {
+					t.Fatalf("n=%d: key %d in bucket %d, hashes to %d", n, st.keys[j], b, got)
+				}
+			}
+		}
+		want, got := map[string]int{}, map[string]int{}
+		for i := 0; i < n; i++ {
+			want[fmt.Sprint(s.Key(i), s.Payload(i))]++
+			got[fmt.Sprint(st.keys[i], st.pay[4*i:4*i+4])]++
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: table does not hold the share's tuples", n)
+		}
 	}
 }
 
@@ -217,9 +246,6 @@ func TestParallelProbeEqualsSerial(t *testing.T) {
 	}
 }
 
-// TestProbeCostConstantShape is the unit-level analogue of Equation (?) in
-// §V-B: the number of key comparisons per probe must not grow with the
-// stationary size when keys are unique (rare collisions).
 func TestSelfJoinCount(t *testing.T) {
 	// Self-join of a relation with unique keys has exactly n matches.
 	s := workload.Sequential("S", 5000, 4)
@@ -234,4 +260,101 @@ func TestSelfJoinCount(t *testing.T) {
 	if c.Count() != 5000 {
 		t.Errorf("self-join count = %d, want 5000", c.Count())
 	}
+}
+
+// setup builds s's table.
+func setup(t *testing.T, s *relation.Relation, opts join.Options) *stationary {
+	t.Helper()
+	st, err := Join{}.SetupStationary(s, join.Equi{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.(*stationary)
+}
+
+// TestCollidingKeysInOneBucket: two keys that share a bucket interleave in
+// it, so equal keys are not contiguous; every match must still go out
+// exactly once.
+func TestCollidingKeysInOneBucket(t *testing.T) {
+	const k1 = 7
+	k2 := uint64(k1 + 1)
+	for relation.HashKey(k2)>>(64-clusterBits) != relation.HashKey(k1)>>(64-clusterBits) {
+		k2++
+	}
+	sKeys := []uint64{k1, k2, k1, k2, k1, k2, k2}
+	s := relation.FromKeys(relation.Schema{Name: "S", PayloadWidth: 4}, sKeys)
+	st := setup(t, s, join.Options{})
+	b := relation.HashKey(k1) >> st.shift
+	if bucket := st.keys[st.off[b]:st.off[b+1]]; len(bucket) != len(sKeys) || bucket[0] == bucket[1] {
+		t.Fatalf("bucket %v: test needs the keys interleaved in one bucket", bucket)
+	}
+	r := relation.FromKeys(relation.Schema{Name: "R", PayloadWidth: 4}, []uint64{k1, k2, k1, k2 + 1})
+	jointest.CheckAgainstOracle(t, Join{}, r, s, join.Equi{}, join.Options{})
+	var c join.Counter
+	if err := st.Join(r, &c); err != nil {
+		t.Fatal(err)
+	}
+	if c.Count() != 2*3+4 {
+		t.Errorf("count = %d, want 10", c.Count())
+	}
+}
+
+// TestHashPartitionedShare joins against an S share cut by
+// relation.PartitionByHash, whose keys agree on the low bits of the hash
+// the table buckets on.
+func TestHashPartitionedShare(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	s := jointest.RandomRelation(rng, "S", 40_000, 30_000, 4)
+	r := jointest.RandomRelation(rng, "R", 20_000, 30_000, 4)
+	shares, err := relation.PartitionByHash(s, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jointest.CheckAgainstOracle(t, Join{}, r, shares[1].Rel, join.Equi{}, join.Options{L2CacheBytes: 64 << 10})
+}
+
+// TestParallelClusterEqualsSequential: the setup passes split across
+// goroutines produce byte-identical tables and clustered fragments.
+func TestParallelClusterEqualsSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for _, n := range []int{0, 100, 8192, 16384, 60_000} {
+		for _, w := range []int{0, 4, 13} {
+			r := jointest.RandomRelation(rng, "R", n, 10_000, w)
+			if w == 13 {
+				// One key: every cluster but one is empty.
+				r = jointest.RandomRelation(rng, "R", n, 1, w)
+			}
+			opts := join.Options{Parallelism: 1, L2CacheBytes: 1 << 10}
+			seq := setup(t, r, opts)
+			seqRot, err := Join{}.SetupRotating(r, join.Equi{}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, par := range []int{2, 4} {
+				opts.Parallelism = par
+				got := setup(t, r, opts)
+				if !reflect.DeepEqual(got.off, seq.off) || !reflect.DeepEqual(got.keys, seq.keys) ||
+					!bytes.Equal(got.pay, seq.pay) {
+					t.Fatalf("n=%d w=%d: table at parallelism %d differs from the sequential one", n, w, par)
+				}
+				rot, err := Join{}.SetupRotating(r, join.Equi{}, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !rot.Equal(seqRot) {
+					t.Fatalf("n=%d w=%d: clustered R at parallelism %d differs from the sequential one", n, w, par)
+				}
+			}
+		}
+	}
+}
+
+// TestParallelClusterJoinCorrect: the full join pipeline on top of the
+// parallel setup passes still matches the oracle.
+func TestParallelClusterJoinCorrect(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	r := jointest.RandomRelation(rng, "R", 30_000, 2_000, 4)
+	s := jointest.RandomRelation(rng, "S", 30_000, 2_000, 4)
+	jointest.CheckAgainstOracle(t, Join{}, r, s, join.Equi{},
+		join.Options{Parallelism: 4, L2CacheBytes: 64 << 10})
 }

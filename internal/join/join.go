@@ -13,7 +13,7 @@
 //     S_i — the "join phase", executed once per ring hop.
 //
 // Algorithm.SetupRotating reorganizes a rotating fragment once before it
-// enters the ring (radix-clustering or sorting R_j), implementing the
+// enters the ring (hash-clustering or sorting R_j), implementing the
 // paper's §IV-D trade: spend network bandwidth shipping reorganized data to
 // save CPU on every subsequent hop.
 package join
@@ -88,13 +88,10 @@ type Options struct {
 	// phase (the paper uses all four cores of its quad-core Xeons). Zero
 	// means 1.
 	Parallelism int
-	// L2CacheBytes is the target cache residency for radix partitions
-	// (4 MB unified L2 on the paper's testbed). Zero means DefaultL2Bytes.
+	// L2CacheBytes is the cache size the hash join sizes against: a
+	// rotating fragment that already fits is shipped unclustered (4 MB
+	// unified L2 on the paper's testbed). Zero means DefaultL2Bytes.
 	L2CacheBytes int
-	// RadixBits forces the radix-partition fan-out to 2^RadixBits.
-	// Zero means: derive from L2CacheBytes so that one S partition plus
-	// its hash table fits in (a quarter of) L2, as in [22].
-	RadixBits int
 	// Flight is the span recorder algorithm-internal phases (build, probe,
 	// sort, merge) report to. Nil means the process-wide trace.Flight()
 	// (which records nothing unless enabled).

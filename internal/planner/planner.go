@@ -133,7 +133,7 @@ func cost(cal costmodel.Calibration, alg AlgorithmKind, rotateR bool, rot, stat,
 	switch alg {
 	case Hash:
 		// Setup: build hash tables over the local stationary fragment;
-		// radix-clustering the local rotating fragments happens
+		// clustering the local rotating fragments happens
 		// concurrently and is cheaper, so the stationary build sets the
 		// wall clock.
 		setup = cal.HashSetupTime(statPerHost)

@@ -117,13 +117,13 @@ func PartitionByHash(r *Relation, n int) ([]*Fragment, error) {
 }
 
 // HashKey is the multiplicative (Fibonacci) hash used for all key hashing in
-// the system: radix partitioning, hash tables, and hash-based fragment
-// placement all derive their buckets from it.
+// the system: the hash join's clusters and buckets (its top bits) and
+// hash-based fragment placement (its low bits) all derive from it.
 func HashKey(k uint64) uint64 {
 	// 2^64 / golden ratio, the standard Fibonacci hashing multiplier.
 	const m = 0x9e3779b97f4a7c15
 	h := k * m
-	// Mix high bits down so that masking low bits (radix partitioning)
+	// Mix high bits down so that masking low bits (fragment placement)
 	// still sees avalanche from the whole key.
 	return h ^ (h >> 29)
 }

@@ -177,7 +177,7 @@ func TestResetKeepsSchema(t *testing.T) {
 }
 
 // TestHashKeyAvalanche checks that sequential keys spread across low bits,
-// which the radix partitioning of the hash join depends on.
+// which hash-based fragment placement (PartitionByHash) depends on.
 func TestHashKeyAvalanche(t *testing.T) {
 	const buckets = 64
 	var counts [buckets]int

@@ -781,11 +781,12 @@ func (n *node) nextInput() (inflight, bool) {
 
 func (n *node) procLoop() {
 	defer n.flushCredits()
+	// The wait/join/stage spans tile this loop back to back, so the
+	// join-entity track has no unaccounted gaps: cyclotrace reconciles
+	// their sum against the track's wall clock. Each hop's stage span
+	// ends where the next wait span begins.
+	wpd := n.fjoin.Begin(trace.PhaseWait)
 	for {
-		// The wait/join/stage spans tile this loop back to back, so the
-		// join-entity track has no unaccounted gaps: cyclotrace reconciles
-		// their sum against the track's wall clock.
-		wpd := n.fjoin.Begin(trace.PhaseWait)
 		waitStart := time.Now()
 		inf, ok := n.nextInput()
 		if !ok {
@@ -835,6 +836,14 @@ func (n *node) procLoop() {
 			n.m.retired.Inc()
 			n.fjoin.Point(trace.PhaseRetire, int32(ret.index), int32(ret.hops), 0)
 			n.releaseRecvDeferred(inf.buf)
+			n.flushIfLast()
+			// Close the hop's span and timings before publishing the
+			// retirement: Run returns on the last one, and a recording
+			// read then must hold the whole revolution. A send blocked on
+			// Run's drain counts as waiting.
+			n.fjoin.End(spd)
+			wpd = n.fjoin.Begin(trace.PhaseWait)
+			n.finishHop(procStart, procEnd)
 			select {
 			case n.retired <- ret:
 			default:
@@ -844,12 +853,10 @@ func (n *node) procLoop() {
 				select {
 				case n.retired <- ret:
 				case <-n.quit:
-					n.fjoin.End(spd)
+					n.fjoin.End(wpd)
 					return
 				}
 			}
-			n.fjoin.End(spd)
-			n.finishHop(procStart, procEnd)
 			continue
 		}
 
@@ -900,12 +907,30 @@ func (n *node) procLoop() {
 			}
 		}
 		spd.Arg = int64(ob.sz)
+		n.flushIfLast()
 		if !n.pushOutbound(ob) {
 			n.fjoin.End(spd)
 			return
 		}
 		n.fjoin.End(spd)
+		wpd = n.fjoin.Begin(trace.PhaseWait)
 		n.finishHop(procStart, procEnd)
+	}
+}
+
+// flushIfLast flushes deferred credits when no input is queued, so the
+// fragment just processed may be the node's last of the run. Its
+// retirement, here or downstream, then happens after every credit the
+// node deferred is back, and Run, which returns on the last retirement,
+// returns with credits quiescent. A node with input queued processes
+// another fragment of the run later and flushes there; when input is
+// empty the join loop was about to flush in nextInput anyway, so this
+// moves the doorbell earlier rather than adding one.
+//
+//cyclolint:hotpath
+func (n *node) flushIfLast() {
+	if n.procQ.Len() == 0 && n.injectQ.Len() == 0 {
+		n.flushCredits()
 	}
 }
 

@@ -69,7 +69,7 @@ const (
 	PhaseSend
 	// PhaseRetire: instant — the fragment completed its revolution here.
 	PhaseRetire
-	// PhaseBuild: hash-join setup (radix-cluster + table build).
+	// PhaseBuild: hash-join setup (hash-prefix scatter + bucket sort).
 	PhaseBuild
 	// PhaseProbe: one hash-join worker's probe range.
 	PhaseProbe
